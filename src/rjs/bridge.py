@@ -14,11 +14,13 @@ kind), str, bool, None, callables, and the small marker types below.
 
 from __future__ import annotations
 
+import functools
 import sys
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
 
-from .dispatcher import CallTask, Dispatcher
+from .dispatcher import CallTask, Dispatcher, report_fault
 from .errors import (
     Ambiguous,
     ConversionError,
@@ -35,7 +37,6 @@ from .model import (
     GlobalDecl,
     HostValue,
     MethodSignature,
-    NamespaceNode,
     OverloadSet,
     Registry,
     ValueKind,
@@ -44,7 +45,6 @@ from .model import (
     enumval,
     f64,
     i64,
-    join_path,
     kind_str,
     ref,
     sig_str,
@@ -97,9 +97,39 @@ class MethodRef:
     name: str
 
 
-def is_callback(value: Any) -> bool:
-    """Trailing-argument test: any callable script value is a callback."""
-    return callable(value)
+def weak_method(method: Callable[..., Any]) -> Callable[..., Any]:
+    """`method` as a callable that does not keep its object alive.
+
+    Hooks that point back at their owner (the dispatcher's converter and
+    error sink, the interpreter's builtins) are held this way, so that a
+    discarded bridge or interpreter is freed when its last reference goes
+    instead of waiting for a full garbage collection.
+    """
+    ref = weakref.WeakMethod(method)
+    name = method.__qualname__
+
+    def call(*args: Any) -> Any:
+        bound = ref()
+        if bound is None:
+            raise ReferenceError(f"{name} called after its object was discarded")
+        return bound(*args)
+
+    return call
+
+
+def _pending_calls(dispatcher: "weakref.ref[Dispatcher]") -> int:
+    engine = dispatcher()
+    return 0 if engine is None else engine.pending_count()
+
+
+def split_callback(args: list[Any]) -> tuple[list[Any], Callable[[Any], Any] | None]:
+    """Separate the completion callback from the call arguments.
+
+    Any callable script value in the trailing position is the callback.
+    """
+    if args and callable(args[-1]):
+        return args[:-1], args[-1]
+    return args, None
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +138,7 @@ def is_callback(value: Any) -> bool:
 
 @dataclass
 class PropertyNode:
-    """Materialized mirror of one namespace node, rebuilt on refresh."""
+    """Mirror of one namespace node, patched in place by `refresh`."""
 
     path: str
     namespaces: dict[str, "PropertyNode"] = field(default_factory=dict)
@@ -119,49 +149,56 @@ class PropertyNode:
 
 @dataclass
 class RootObject:
-    """Top-level object of the bindings; records the mirrored version."""
+    """Top-level object of the bindings: a snapshot of the registry.
+
+    `cursor` counts the registry journal entries already mirrored in
+    `tree`; `version_seen` is the registry version at the last refresh.
+    """
 
     tree: PropertyNode
-    version_seen: int
+    version_seen: int = 0
+    cursor: int = 0
 
 
-def _mirror(node: NamespaceNode, path: str) -> PropertyNode:
-    prop = PropertyNode(path)
-    for name, child in node.namespaces.items():
-        prop.namespaces[name] = _mirror(child, join_path(path, name))
-    for name in node.types:
-        prop.types[name] = join_path(path, name)
-    for name in node.functions:
-        prop.functions[name] = join_path(path, name)
-    for name in node.globals:
-        prop.globals[name] = join_path(path, name)
-    return prop
-
-
-def _entry_paths(prop: PropertyNode, into: set[str]) -> set[str]:
-    for name, child in prop.namespaces.items():
-        into.add(f"namespace:{child.path}")
-        _entry_paths(child, into)
-    into.update(f"type:{q}" for q in prop.types.values())
-    into.update(f"function:{p}" for p in prop.functions.values())
-    into.update(f"global:{q}" for q in prop.globals.values())
-    return into
+def _walk(tree: PropertyNode, path: str) -> PropertyNode | None:
+    node: PropertyNode | None = tree
+    for part in split_path(path):
+        node = node.namespaces.get(part)
+        if node is None:
+            return None
+    return node
 
 
 def build_root(registry: Registry) -> RootObject:
     """Expose every namespace, type, function and global as nested properties."""
-    return RootObject(_mirror(registry.root, ""), registry.version)
+    root = RootObject(PropertyNode(""))
+    refresh(root, registry)
+    return root
 
 
 def refresh(root: RootObject, registry: Registry) -> int:
-    """Rebuild the mirror if the registry moved on; returns added entry count."""
-    if root.version_seen == registry.version:
-        return 0
-    before = _entry_paths(root.tree, set())
-    root.tree = _mirror(registry.root, "")
+    """Mirror the names added since the last refresh; returns how many.
+
+    Only the registry journal entries past `root.cursor` are applied, so
+    the cost is proportional to the new names, not to the registry.
+    """
+    entries = registry.journal[root.cursor:]
+    for category, qualified in entries:
+        parent, _, name = qualified.rpartition(".")
+        node = _walk(root.tree, parent)
+        assert node is not None  # the journal lists a namespace before its members
+        match category:
+            case "namespace":
+                node.namespaces[name] = PropertyNode(qualified)
+            case "type":
+                node.types[name] = qualified
+            case "function":
+                node.functions[name] = qualified
+            case "global":
+                node.globals[name] = qualified
+    root.cursor += len(entries)
     root.version_seen = registry.version
-    after = _entry_paths(root.tree, set())
-    return len(after - before)
+    return len(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +265,16 @@ class Bridge:
         self.factory = ProxyFactory()
         self.diag = diag if diag is not None else sys.stderr
         self.async_faults: list[tuple[int, Exception]] = []
-        self.error_sink: Callable[[int, Exception], None] = self._default_sink
+        self.error_sink: Callable[[int, Exception], None] = functools.partial(report_fault, self.diag)
         self.dispatcher = Dispatcher(
             self.heap,
             workers=workers,
-            converter=self.to_script,
-            error_sink=self._sink,
+            converter=weak_method(self.to_script),
+            error_sink=weak_method(self._sink),
             diag=self.diag,
         )
-        self.registry.busy_check = self.dispatcher.pending_count
+        # a lent registry can outlive this bridge: with no engine, nothing is in flight
+        self.registry.busy_check = functools.partial(_pending_calls, weakref.ref(self.dispatcher))
         self.root = build_root(self.registry)
 
     # -- error sink ------------------------------------------------------------
@@ -245,21 +283,15 @@ class Bridge:
         self.async_faults.append((call_id, exc))
         self.error_sink(call_id, exc)
 
-    def _default_sink(self, call_id: int, exc: Exception) -> None:
-        self.diag.write(f"async call #{call_id} failed: {type(exc).__name__}: {exc}\n")
-
     # -- mirror ------------------------------------------------------------------
 
     def refresh(self) -> int:
         return refresh(self.root, self.registry)
 
     def node_at(self, path: str) -> PropertyNode:
-        node = self.root.tree
-        for part in split_path(path):
-            child = node.namespaces.get(part)
-            if child is None:
-                raise ScriptNameError(f"namespace {path!r} is not exposed")
-            node = child
+        node = _walk(self.root.tree, path)
+        if node is None:
+            raise ScriptNameError(f"namespace {path!r} is not exposed")
         return node
 
     # -- conversions ----------------------------------------------------------------
@@ -340,10 +372,7 @@ class Bridge:
 
     def resolve_overload(self, overloads: OverloadSet, args: list[Any]) -> ResolvedCall:
         """Split a trailing callable, then pick the unique minimum-cost overload."""
-        callback: Callable[[Any], Any] | None = None
-        if args and is_callback(args[-1]):
-            callback = args[-1]
-            args = args[:-1]
+        args, callback = split_callback(args)
         candidates = list(enumerate(overloads.signatures))
         return self._score(overloads.name, candidates, args, callback)
 
@@ -408,11 +437,7 @@ class Bridge:
                     ]
                     if not static_only:
                         raise NoMatch(f"method {type_name}.{name} requires an instance")
-                    callback = None
-                    call_args = args
-                    if call_args and is_callback(call_args[-1]):
-                        callback = call_args[-1]
-                        call_args = call_args[:-1]
+                    call_args, callback = split_callback(args)
                     resolved = self._score(name, static_only, call_args, callback)
                     return self._dispatch(None, None, resolved)
                 resolved = self.resolve_overload(overloads, args)
@@ -425,11 +450,7 @@ class Bridge:
         desc = self.registry.find_type(qualified)
         if desc is None:
             raise ScriptNameError(f"unknown type {qualified!r}")
-        callback: Callable[[Any], Any] | None = None
-        call_args = args
-        if call_args and is_callback(call_args[-1]):
-            callback = call_args[-1]
-            call_args = call_args[:-1]
+        call_args, callback = split_callback(args)
         if not desc.constructors.signatures:
             if call_args:
                 raise NoMatch(f"{qualified!r} has no constructors taking arguments")

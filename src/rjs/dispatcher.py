@@ -13,6 +13,7 @@ invalid values fall back to 4 with a warning on the diagnostic stream).
 
 from __future__ import annotations
 
+import functools
 import os
 import queue
 import sys
@@ -43,6 +44,11 @@ def resolve_worker_count(explicit: int | None = None, diag: TextIO | None = None
     stream = diag if diag is not None else sys.stderr
     stream.write(f"warning: invalid RJS_WORKERS value {raw!r}; using {DEFAULT_WORKERS}\n")
     return DEFAULT_WORKERS
+
+
+def report_fault(diag: TextIO, call_id: int, exc: Exception) -> None:
+    """The default error sink: one line per failed call on `diag`."""
+    diag.write(f"async call #{call_id} failed: {type(exc).__name__}: {exc}\n")
 
 
 @dataclass
@@ -86,7 +92,7 @@ class Dispatcher:
         self._diag = diag if diag is not None else sys.stderr
         self.worker_count = resolve_worker_count(workers, self._diag)
         self._converter = converter if converter is not None else (lambda value: value)
-        self._error_sink = error_sink if error_sink is not None else self._default_sink
+        self._error_sink = error_sink if error_sink is not None else functools.partial(report_fault, self._diag)
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
         self._completions: queue.SimpleQueue = queue.SimpleQueue()
         self._pending: dict[int, Callable[[Any], Any]] = {}
@@ -165,40 +171,54 @@ class Dispatcher:
                 completion: Completion = self._completions.get_nowait()
             except queue.Empty:
                 break
-            with self._lock:
-                callback = self._pending.pop(completion.call_id, None)
-            if callback is None:  # pragma: no cover - exactly-once guard
-                continue
-            if completion.fault is not None:
-                self._route_error(completion.call_id, completion.fault)
-            else:
-                try:
-                    callback(self._converter(completion.outcome))
-                except Exception as exc:
-                    self._route_error(completion.call_id, exc)
-            delivered += 1
+            delivered += self._deliver(completion)
         return delivered
 
     def drain(self, timeout_ms: float) -> bool:
-        """Pump until no call is pending or the timeout elapses."""
+        """Pump until no call is pending or the timeout elapses.
+
+        Between pumps it blocks on the completion queue for the time that
+        is left, so a completion is delivered as soon as it is posted.
+        """
         self._check_domain("drain")
         deadline = time.monotonic() + timeout_ms / 1000.0
         while True:
             self.process_events()
             if self.pending_count() == 0:
                 return True
-            if time.monotonic() >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 return False
-            time.sleep(0.001)
+            try:
+                # clamped: a longer wait overflows the platform's timeout
+                completion = self._completions.get(timeout=min(remaining, threading.TIMEOUT_MAX))
+            except queue.Empty:
+                continue  # the next pass finds the deadline passed
+            self._deliver(completion)
+
+    def _deliver(self, completion: Completion) -> int:
+        """Hand one completion to its callback or the error sink.
+
+        Returns 1 when delivered, 0 when its call was already delivered.
+        """
+        with self._lock:
+            callback = self._pending.pop(completion.call_id, None)
+        if callback is None:  # pragma: no cover - exactly-once guard
+            return 0
+        if completion.fault is not None:
+            self._route_error(completion.call_id, completion.fault)
+        else:
+            try:
+                callback(self._converter(completion.outcome))
+            except Exception as exc:
+                self._route_error(completion.call_id, exc)
+        return 1
 
     def _route_error(self, call_id: int, exc: Exception) -> None:
         try:
             self._error_sink(call_id, exc)
         except Exception:  # pragma: no cover - sink must not kill the pump
             pass
-
-    def _default_sink(self, call_id: int, exc: Exception) -> None:
-        self._diag.write(f"async call #{call_id} failed: {type(exc).__name__}: {exc}\n")
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -143,7 +143,7 @@ class Heap:
         if signature is not None and signature.body:
             try:
                 self.exec_body(address, signature, args)
-            except RjsError:
+            except BaseException:  # no half-built object outlives any failure
                 self.destroy(address)
                 raise
         return address

@@ -361,20 +361,38 @@ def join_path(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
 
 
+@dataclass(frozen=True)
+class TypeLayout:
+    """Result of one walk up a type's inheritance graph.
+
+    `chain` is the type followed by its ancestors, nearest first;
+    `distance` maps the type and every ancestor name to the number of
+    base steps that reach it.
+    """
+
+    chain: list[HostTypeDescriptor]
+    distance: dict[str, int]
+
+
 class Registry:
     """All introspection metadata: the namespace tree plus enum tables.
 
     `version` increases by exactly one on every successful mutation
-    (plugin merge, macro evaluation) and never otherwise; the bridge
-    watches it to decide when the property mirror is stale. `busy_check`,
-    when set, returns the number of in-flight asynchronous calls and
-    gates mutations (the quiescence rule).
+    (plugin merge, macro evaluation) and never otherwise. `journal` is
+    append-only: it gets one `(category, qualified)` entry for every new
+    namespace, type, function set or global, in the order they were
+    added; names are never removed, so the journal lists every name and
+    the bridge mirrors it from a cursor. `busy_check`, when set, returns
+    the number of in-flight asynchronous calls and gates mutations (the
+    quiescence rule).
     """
 
     def __init__(self) -> None:
         self.root = NamespaceNode("")
         self.enums: dict[str, dict[str, int]] = {}
         self.version = 0
+        self.journal: list[tuple[str, str]] = []
+        self._layouts: dict[str, TypeLayout] = {}
         self.busy_check = None  # optional () -> int, wired by the bridge
 
     # -- lookup / enumeration ------------------------------------------------
@@ -435,42 +453,54 @@ class Registry:
 
     # -- inheritance helpers ---------------------------------------------------
 
-    def base_chain(self, qualified_name: str) -> list[HostTypeDescriptor]:
-        """The type itself followed by its ancestors, nearest first."""
+    def _layout(self, qualified_name: str) -> TypeLayout | None:
+        """The type's memoised layout, or None if no such type exists.
+
+        One breadth-first walk builds it; it is kept for the life of the
+        registry. That is exact, not merely per version: a merged type's
+        bases and fields never change, every base exists when its type is
+        merged, types are never removed or redeclared, and an extension
+        only appends to `desc.methods` in place, which the descriptors in
+        `chain` show. A name that is not found is never memoised. Worker
+        threads reach this through `Heap.exec_body`; two threads may both
+        build a layout, but the values are equal and a dict store is
+        atomic under the GIL, so no lock is needed.
+        """
+        layout = self._layouts.get(qualified_name)
+        if layout is not None:
+            return layout
         chain: list[HostTypeDescriptor] = []
-        seen: set[str] = set()
-        frontier = [qualified_name]
-        while frontier:
-            name = frontier.pop(0)
-            if name in seen:
+        distance: dict[str, int] = {}
+        queue = [(qualified_name, 0)]
+        for name, level in queue:  # the loop sees the bases appended below
+            if name in distance:
                 continue
-            seen.add(name)
+            distance[name] = level
             desc = self.find_type(name)
             if desc is None:
                 continue
             chain.append(desc)
-            frontier.extend(desc.bases)
-        return chain
+            queue.extend((base, level + 1) for base in desc.bases)
+        if not chain:
+            return None
+        layout = TypeLayout(chain, distance)
+        self._layouts[qualified_name] = layout
+        return layout
+
+    def base_chain(self, qualified_name: str) -> list[HostTypeDescriptor]:
+        """The type itself followed by its ancestors, nearest first.
+
+        The list is the memoised one; callers must not modify it.
+        """
+        layout = self._layout(qualified_name)
+        return layout.chain if layout is not None else []
 
     def subtype_distance(self, dynamic: str, target: str) -> int | None:
         """Steps up the base chain from `dynamic` to `target`, None if unrelated."""
-        level = 0
-        frontier = [dynamic]
-        seen: set[str] = set()
-        while frontier:
-            if target in frontier:
-                return level
-            next_frontier: list[str] = []
-            for name in frontier:
-                if name in seen:
-                    continue
-                seen.add(name)
-                desc = self.find_type(name)
-                if desc is not None:
-                    next_frontier.extend(desc.bases)
-            frontier = next_frontier
-            level += 1
-        return None
+        layout = self._layout(dynamic)
+        if layout is None:
+            return 0 if dynamic == target else None
+        return layout.distance.get(target)
 
     def all_fields(self, qualified_name: str) -> list[FieldDecl]:
         """Declared plus inherited fields, root base first."""
@@ -513,6 +543,7 @@ class Registry:
 
                     raise ConflictError(f"{walked!r} already declared as a {held[0]}")
                 node.namespaces[part] = NamespaceNode(part)
+                self.journal.append(("namespace", walked))
             node = node.namespaces[part]
         return node
 
@@ -528,4 +559,5 @@ class Registry:
             raise ConflictError(f"{qualified!r} already declared as a {held[0]}")
         decl = GlobalDecl(name, qualified, kind, initial)
         node.globals[name] = decl
+        self.journal.append(("global", qualified))
         return decl

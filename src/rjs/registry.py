@@ -1009,26 +1009,39 @@ def _check_field_shadowing(
     overlay: dict[str, tuple[str, ...]],
 ) -> None:
     new_by_name = {d.qualified_name: d for d in new_types}
-
-    def fields_of(qualified: str) -> list[str]:
-        desc = new_by_name.get(qualified) or registry.find_type(qualified)
-        if desc is None:
-            return []
-        names: list[str] = []
-        for base in desc.bases:
-            names.extend(fields_of(base))
-        names.extend(f.name for f in desc.fields)
-        return names
-
+    memo: dict[str, set[str]] = {}
     for desc in new_types:
         inherited: set[str] = set()
         for base in desc.bases:
-            inherited.update(fields_of(base))
+            inherited |= _field_names(base, new_by_name, registry, memo)
         for f in desc.fields:
             if f.name in inherited:
                 raise ConflictError(
                     f"type {desc.qualified_name!r}: field {f.name!r} shadows a base field"
                 )
+
+
+def _field_names(
+    qualified: str,
+    new_by_name: dict[str, HostTypeDescriptor],
+    registry: Registry,
+    memo: dict[str, set[str]],
+) -> set[str]:
+    """Every field name `qualified` declares or inherits, memoised per merge.
+
+    The base chains are known to be acyclic here (`_check_base_chains`).
+    The memoised sets are shared; callers must not modify them.
+    """
+    names = memo.get(qualified)
+    if names is None:
+        desc = new_by_name.get(qualified) or registry.find_type(qualified)
+        names = set()
+        if desc is not None:
+            names = {f.name for f in desc.fields}
+            for base in desc.bases:
+                names |= _field_names(base, new_by_name, registry, memo)
+        memo[qualified] = names
+    return names
 
 
 def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> None:
@@ -1039,6 +1052,7 @@ def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> Non
     for desc in plan.new_types:
         node = registry.namespace_at(plan.type_homes[desc.qualified_name])
         node.types[desc.qualified_name.rsplit(".", 1)[-1]] = desc
+        registry.journal.append(("type", desc.qualified_name))
     for qualified, methods in plan.extensions:
         desc = registry.find_type(qualified)
         assert desc is not None
@@ -1046,9 +1060,13 @@ def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> Non
             desc.methods.setdefault(m.name, OverloadSet(m.name)).signatures.append(m.signature)
     for namespace, name, sig in plan.functions:
         node = registry.namespace_at(namespace)
-        node.functions.setdefault(name, OverloadSet(name)).signatures.append(sig)
+        if name not in node.functions:  # a further overload is not a new name
+            node.functions[name] = OverloadSet(name)
+            registry.journal.append(("function", join_path(namespace, name)))
+        node.functions[name].signatures.append(sig)
     for decl in plan.globals:
         node = registry.namespace_at(plan.global_homes[decl.qualified])
         node.globals[decl.name] = decl
+        registry.journal.append(("global", decl.qualified))
         if heap is not None:
             heap.globals[decl.qualified] = decl.initial

@@ -6,7 +6,7 @@ from __future__ import annotations
 import io
 from typing import TextIO
 
-from .bridge import Bridge
+from .bridge import Bridge, weak_method
 from .errors import RjsError
 from .model import Registry, kind_str, sig_str
 from .script import Environment, Interpreter, SExprStmt, parse, render_value
@@ -70,7 +70,7 @@ class ReplSession:
         self.env = Environment(self.interp.globals)
         self.active = True
         # async faults print into the session, not the process diagnostic stream
-        bridge.error_sink = self._async_error
+        bridge.error_sink = weak_method(self._async_error)
 
     def _async_error(self, call_id: int, exc: Exception) -> None:
         self.interp.out.write(f"async call #{call_id} failed: {type(exc).__name__}: {exc}\n")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, TextIO
 
-from .bridge import Bridge, BoundBuiltin, FnRef, Invocation, MethodRef, NsRef, Proxy, TypeRef
+from .bridge import Bridge, BoundBuiltin, FnRef, Invocation, MethodRef, NsRef, Proxy, TypeRef, weak_method
 from .errors import LexError, ParseError, ScriptNameError, ScriptTypeError
 from .model import format_number
 
@@ -465,8 +465,8 @@ class Interpreter:
         self.out = out
         self.globals = Environment()
         self.globals.define("root", NsRef(""))
-        self.globals.define("print", BoundBuiltin("print", self._print))
-        self.globals.define("pump", BoundBuiltin("pump", self._pump))
+        self.globals.define("print", BoundBuiltin("print", weak_method(self._print)))
+        self.globals.define("pump", BoundBuiltin("pump", weak_method(self._pump)))
 
     def _print(self, *args: Any) -> None:
         self.out.write(" ".join(render_value(a) for a in args) + "\n")

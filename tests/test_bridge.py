@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import random
 import time
+import weakref
 
 import pytest
 
 import support
-from rjs import Proxy, boolean, cstr, enumval, f64, i64, ref, strobj
+from rjs import Bridge, Proxy, Registry, boolean, cstr, enumval, f64, i64, ref, strobj
 from rjs.bridge import FnRef, MethodRef, NsRef, TypeRef, build_root, refresh
 from rjs.errors import (
     Ambiguous,
@@ -25,6 +28,8 @@ from rjs.errors import (
 from rjs.model import K_BOOL, K_CSTR, K_F64, K_I64, K_STR, OverloadSet, enum_kind, obj_kind
 from rjs.model import MethodSignature, VOID
 from rjs.registry import eval_macro, merge, parse_manifest
+from rjs.repl import ReplSession
+from rjs.script import Interpreter, parse
 
 PI_MANIFEST = json.dumps({
     "namespaces": ["ROOT.Math"],
@@ -509,3 +514,42 @@ def test_loadlibrary_not_quiescent_during_sleep(bridge, math_plugin):
         bridge.loadlibrary(str(math_plugin))
     assert bridge.dispatcher.drain(2000)
     assert bridge.loadlibrary(str(math_plugin)) >= 2
+
+
+# -- lifetime ----------------------------------------------------------------------------
+
+
+def test_discarded_session_objects_are_freed_without_a_collection(sample_plugin):
+    gc.disable()
+    try:
+        b = Bridge(workers=2, diag=io.StringIO())
+        b.loadlibrary(str(sample_plugin))
+        got: list = []
+        b.invoke(TypeRef("TVector3"), [3.0, 4.0, 0.0, got.append])
+        assert b.dispatcher.drain(2000) and len(got) == 1
+        interp = Interpreter(b, io.StringIO())
+        interp.run(parse("print(1);"))
+        repl = ReplSession(b, io.StringIO())
+        b.shutdown()
+        refs = [weakref.ref(o) for o in (b, b.registry, b.heap, b.dispatcher, interp, repl)]
+        del b, interp, repl, got
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_lent_registry_outlives_its_bridge():
+    registry = Registry()
+    b = Bridge(registry=registry, workers=1, diag=io.StringIO())
+    b.shutdown()
+    del b
+    assert registry.busy_check() == 0
+    assert merge(registry, parse_manifest(PI_MANIFEST)) == 1
+
+
+def test_builtin_of_a_discarded_interpreter_raises(bridge):
+    interp = Interpreter(bridge, io.StringIO())
+    printer = interp.globals.get("print")
+    del interp
+    with pytest.raises(ReferenceError, match="_print called after its object was discarded"):
+        printer(1.0)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import threading
 import time
+import types
 
 import pytest
 
+import rjs.dispatcher
 from rjs import CallTask, Dispatcher, Heap, Registry, i64, resolve_worker_count
 from rjs.errors import DomainError, EngineStopped
 from rjs.model import Builtin, Const, ExprStmt, K_I64, MethodSignature, Param, Return
@@ -102,6 +105,25 @@ def test_drain_timeout_returns_false(engine):
     engine.submit(CallTask(signature=sleep_body(500)), lambda v: None)
     assert engine.drain(1) is False
     assert engine.drain(5000) is True
+
+
+def test_drain_blocks_on_the_queue_instead_of_sleeping(engine, monkeypatch):
+    def no_sleep(_seconds):
+        raise AssertionError("drain polled with time.sleep")
+
+    fake_time = types.SimpleNamespace(monotonic=time.monotonic, sleep=no_sleep)
+    monkeypatch.setattr(rjs.dispatcher, "time", fake_time)
+    done: list[int] = []
+    engine.submit(CallTask(signature=sleep_body(30, returns_param=True), args=[i64(7)]),
+                  lambda v: done.append(int(v.value)))
+    assert engine.drain(5000) is True
+    assert done == [7]
+
+    engine.submit(CallTask(signature=sleep_body(300)), lambda v: done.append(0))
+    assert engine.drain(20) is False
+    assert engine.pending_count() == 1 and done == [7]
+    assert engine.drain(5000) is True
+    assert done == [7, 0]
 
 
 def test_completion_order_not_submission_order(engine):
@@ -225,3 +247,16 @@ def test_worker_count_from_environment(monkeypatch):
     assert resolve_worker_count(diag=io.StringIO()) == 4
     monkeypatch.delenv("RJS_WORKERS")
     assert resolve_worker_count() == 4
+
+
+def test_default_sink_reports_fault_on_diag():
+    diag = io.StringIO()
+    engine = Dispatcher(Heap(Registry()), workers=1, diag=diag)
+    try:
+        bad = MethodSignature((), K_I64, True,
+                              (Return(Builtin("sqrt", (Const(i64(-1)),))),))
+        call_id = engine.submit(CallTask(signature=bad), lambda v: pytest.fail("ran"))
+        assert engine.drain(2000)
+        assert diag.getvalue().startswith(f"async call #{call_id} failed: HostExecError: ")
+    finally:
+        engine.shutdown()

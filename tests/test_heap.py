@@ -466,3 +466,20 @@ def test_new_expression_constructs(world):
     out = heap.exec_body(None, sig, [])
     assert out.tag == "obj"
     assert heap.read_field(out.value, "x") == f64(3.0)
+
+
+def test_ctor_failing_with_non_rjs_error_leaves_no_object(world):
+    registry, heap = world
+    # a constructor body that builds its own type recurses until Python gives up
+    merge(registry, parse_manifest(json.dumps({"types": [{
+        "name": "Loop",
+        "fields": [{"name": "n", "kind": "i64"}],
+        "ctors": [{"params": [], "body": [{"op": "new", "type": "Loop", "args": []}]}],
+    }]})), heap)
+    keep = heap.construct("Bare")
+    heap.make_alias(keep)
+    objects, aliases = dict(heap.objects), dict(heap.aliases)
+    with pytest.raises(RecursionError):
+        heap.construct("Loop")
+    assert heap.objects == objects
+    assert heap.aliases == aliases

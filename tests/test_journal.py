@@ -1,0 +1,282 @@
+"""Registry journal, incremental mirror refresh and memoised type layouts.
+
+Random sequences of merges and macros are applied to one registry. After
+each step the incrementally refreshed mirror must equal a tree rebuilt
+from `Registry.enumerate`, and the memoised inheritance answers must
+agree with walks over the test's own record of what was declared.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import support
+from rjs import Heap, Registry
+from rjs.bridge import PropertyNode, build_root, refresh
+from rjs.model import K_I64, FieldDecl, i64
+from rjs.registry import eval_macro, merge, parse_manifest
+
+METHOD_POOL = ("m0", "m1", "m2")
+
+
+def _join(prefix: str, name: str) -> str:
+    return f"{prefix}.{name}" if prefix else name
+
+
+def _split(qualified: str) -> tuple[str, str]:
+    namespace, _, name = qualified.rpartition(".")
+    return namespace, name
+
+
+def tree_from_enumerate(registry: Registry, path: str = "") -> PropertyNode:
+    listing = registry.enumerate(path)
+    node = PropertyNode(path)
+    for name in listing.namespaces:
+        node.namespaces[name] = tree_from_enumerate(registry, _join(path, name))
+    for name in listing.types:
+        node.types[name] = _join(path, name)
+    for name in listing.functions:
+        node.functions[name] = _join(path, name)
+    for name in listing.globals:
+        node.globals[name] = _join(path, name)
+    return node
+
+
+class World:
+    """A registry plus the test's own record of every declaration in it."""
+
+    def __init__(self) -> None:
+        self.registry = Registry()
+        self.heap = Heap(self.registry)
+        self.root = build_root(self.registry)
+        self.namespaces = [""]
+        self.bases: dict[str, list[str]] = {}
+        self.methods: dict[str, dict[str, int]] = {}  # type -> method -> overload count
+        self.fields: dict[str, tuple[str, int]] = {}  # field -> (declaring type, initial)
+        self.functions: dict[str, int] = {}  # qualified -> overload count
+        self.globals: list[str] = []
+        self.serial = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.serial += 1
+        return f"{prefix}{self.serial}"
+
+    def ancestors(self, qualified: str) -> set[str]:
+        found, frontier = set(), [qualified]
+        while frontier:
+            name = frontier.pop()
+            if name not in found:
+                found.add(name)
+                frontier.extend(self.bases[name])
+        return found
+
+    def nearest_declaring(self, qualified: str, method: str) -> str | None:
+        queue, seen = [qualified], set()
+        while queue:
+            name = queue.pop(0)
+            if name in seen:
+                continue
+            seen.add(name)
+            if method in self.methods[name]:
+                return name
+            queue.extend(self.bases[name])
+        return None
+
+    def naive_chain(self, qualified: str) -> list[str]:
+        chain, queue = [], [qualified]
+        while queue:
+            name = queue.pop(0)
+            if name not in chain:
+                chain.append(name)
+                queue.extend(self.bases[name])
+        return chain
+
+
+# ---------------------------------------------------------------------------
+# steps: each returns (manifest dict, names it adds)
+# ---------------------------------------------------------------------------
+
+def step_namespace(world: World, data) -> tuple[dict, int]:
+    parent = data.draw(st.sampled_from(world.namespaces))
+    path, levels = parent, data.draw(st.integers(1, 2))
+    for _ in range(levels):
+        path = _join(path, world.fresh("N"))
+        world.namespaces.append(path)
+    return {"namespaces": [path]}, levels
+
+
+def step_type(world: World, data) -> tuple[dict, int]:
+    namespace = data.draw(st.sampled_from(world.namespaces))
+    qualified = _join(namespace, world.fresh("T"))
+    bases: list[str] = []
+    covered: set[str] = set()
+    if world.bases:
+        for base in data.draw(st.lists(st.sampled_from(sorted(world.bases)), max_size=2)):
+            above = world.ancestors(base)
+            if not above & covered:  # diamonds and repeated bases are rejected at merge
+                bases.append(base)
+                covered |= above
+    fields = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        name = world.fresh("f")
+        world.fields[name] = (qualified, world.serial)
+        fields.append({"name": name, "kind": "i64", "initial": world.serial})
+    methods = data.draw(st.lists(st.sampled_from(METHOD_POOL), unique=True, max_size=2))
+    world.bases[qualified] = bases
+    world.methods[qualified] = {m: 1 for m in methods}
+    spec = {"name": _split(qualified)[1], "namespace": namespace, "bases": bases,
+            "fields": fields, "methods": [{"name": m} for m in methods]}
+    return {"types": [spec]}, 1
+
+
+def step_extension(world: World, data) -> tuple[dict, int]:
+    if not world.bases:
+        return step_type(world, data)
+    qualified = data.draw(st.sampled_from(sorted(world.bases)))
+    method = data.draw(st.sampled_from(METHOD_POOL))
+    arity = world.methods[qualified].get(method, 0)  # a fresh arity is always distinguishable
+    world.methods[qualified][method] = arity + 1
+    namespace, name = _split(qualified)
+    spec = {"name": name, "namespace": namespace,
+            "methods": [{"name": method, "params": ["i64"] * arity}]}
+    return {"types": [spec]}, 0
+
+
+def step_function(world: World, data) -> tuple[dict, int]:
+    if world.functions and data.draw(st.booleans()):
+        qualified = data.draw(st.sampled_from(sorted(world.functions)))
+    else:
+        qualified = _join(data.draw(st.sampled_from(world.namespaces)), world.fresh("F"))
+    added = 0 if qualified in world.functions else 1
+    arity = world.functions.get(qualified, 0)
+    world.functions[qualified] = arity + 1
+    namespace, name = _split(qualified)
+    return {"functions": [{"name": name, "namespace": namespace,
+                           "params": ["i64"] * arity}]}, added
+
+
+def step_global(world: World, data) -> tuple[dict, int]:
+    qualified = _join(data.draw(st.sampled_from(world.namespaces)), world.fresh("G"))
+    world.globals.append(qualified)
+    namespace, name = _split(qualified)
+    return {"globals": [{"name": name, "namespace": namespace, "kind": "i64",
+                         "initial": world.serial}]}, 1
+
+
+def step_macro_globals(world: World, data) -> tuple[dict, int]:
+    """gset statements: fresh names declare globals, existing ones just store."""
+    statements, added = [], 0
+    for _ in range(data.draw(st.integers(1, 3))):
+        if world.globals and data.draw(st.booleans()):
+            qualified = data.draw(st.sampled_from(world.globals))
+        else:
+            qualified = _join(data.draw(st.sampled_from(world.namespaces)), world.fresh("g"))
+            world.globals.append(qualified)
+            added += 1
+        statements.append({"op": "gset", "name": qualified,
+                           "value": {"op": "const", "value": world.serial}})
+    return {"statements": statements}, added
+
+
+STEPS = (step_namespace, step_type, step_extension, step_function, step_global,
+         step_macro_globals)
+
+
+def apply(world: World, manifest: dict, as_macro: bool) -> None:
+    if as_macro or "statements" in manifest:
+        eval_macro(world.registry, world.heap, json.dumps(manifest))
+    else:
+        merge(world.registry, parse_manifest(json.dumps(manifest)), world.heap)
+
+
+def check_mirror(world: World, added: int) -> None:
+    assert refresh(world.root, world.registry) == added
+    assert world.root.version_seen == world.registry.version
+    expected = tree_from_enumerate(world.registry)
+    assert dataclasses.asdict(world.root.tree) == dataclasses.asdict(expected)
+
+
+def check_layouts(world: World) -> None:
+    registry = world.registry
+    for dynamic in world.bases:
+        chain = [d.qualified_name for d in registry.base_chain(dynamic)]
+        assert chain == world.naive_chain(dynamic)
+        for target in world.bases:
+            assert registry.subtype_distance(dynamic, target) == support.chain_distance(
+                dynamic, target, world.bases)
+        for method in METHOD_POOL:
+            owner = world.nearest_declaring(dynamic, method)
+            found = registry.method_set(dynamic, method)
+            if owner is None:
+                assert found is None
+            else:
+                assert found is registry.find_type(owner).methods[method]
+                assert len(found) == world.methods[owner][method]
+        above = world.ancestors(dynamic)
+        for name, (owner, initial) in world.fields.items():
+            expected = FieldDecl(name, K_I64, i64(initial)) if owner in above else None
+            assert registry.field_decl(dynamic, name) == expected
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_incremental_mirror_and_layouts_track_random_sequences(data):
+    world = World()
+    check_mirror(world, 0)
+    for _ in range(data.draw(st.integers(1, 14))):
+        step = data.draw(st.sampled_from(STEPS))
+        manifest, added = step(world, data)
+        as_macro = data.draw(st.booleans())
+        if as_macro and "statements" not in manifest and data.draw(st.booleans()):
+            statements, more = step_macro_globals(world, data)  # declarations land first
+            manifest.update(statements)
+            added += more
+        apply(world, manifest, as_macro)
+        check_mirror(world, added)
+        check_layouts(world)
+
+
+def test_extension_of_memoised_base_is_seen_and_hidden_by_nearest():
+    world = World()
+    merge(world.registry, parse_manifest(json.dumps({"types": [
+        {"name": "Base"},
+        {"name": "Derived", "bases": ["Base"], "methods": [{"name": "Own"}]},
+    ]})), world.heap)
+    registry = world.registry
+    assert registry.method_set("Derived", "Late") is None  # memoises both layouts
+    merge(registry, parse_manifest(json.dumps({"types": [
+        {"name": "Base", "methods": [{"name": "Late"}, {"name": "Own"}]},
+    ]})), world.heap)
+    base = registry.find_type("Base")
+    derived = registry.find_type("Derived")
+    assert registry.method_set("Derived", "Late") is base.methods["Late"]
+    assert registry.method_set("Derived", "Own") is derived.methods["Own"]
+
+
+def test_unknown_type_is_not_memoised():
+    world = World()
+    registry = world.registry
+    assert registry.base_chain("Later") == []
+    assert registry.subtype_distance("Later", "Root") is None
+    merge(registry, parse_manifest(json.dumps({"types": [
+        {"name": "Root"}, {"name": "Later", "bases": ["Root"]},
+    ]})), world.heap)
+    assert [d.qualified_name for d in registry.base_chain("Later")] == ["Later", "Root"]
+    assert registry.subtype_distance("Later", "Root") == 1
+
+
+def test_extra_overload_is_not_a_new_name():
+    world = World()
+    registry = world.registry
+    merge(registry, parse_manifest(json.dumps(
+        {"functions": [{"name": "F", "namespace": "A.B"}]})), world.heap)
+    assert registry.journal == [("namespace", "A"), ("namespace", "A.B"), ("function", "A.B.F")]
+    merge(registry, parse_manifest(json.dumps(
+        {"functions": [{"name": "F", "namespace": "A.B", "params": ["i64"]}]})), world.heap)
+    assert len(registry.journal) == 3
+    assert refresh(world.root, registry) == 3
+    assert refresh(world.root, registry) == 0

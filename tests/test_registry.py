@@ -150,6 +150,22 @@ def test_field_shadowing_rejected(registry, heap):
         merge(registry, parse_manifest(bad), heap)
 
 
+def test_field_shadowing_rejected_through_a_chain_from_an_earlier_merge(registry, heap):
+    merge(registry, parse_manifest(json.dumps({"types": [
+        {"name": "A", "fields": [{"name": "x", "kind": "f64"}]},
+        {"name": "B", "bases": ["A"], "fields": [{"name": "y", "kind": "f64"}]},
+    ]})), heap)
+    deep = json.dumps({"types": [
+        {"name": "C", "bases": ["B"]},
+        {"name": "D", "bases": ["C"], "fields": [{"name": "x", "kind": "i64"}]},
+    ]})
+    with pytest.raises(ConflictError, match="'D': field 'x' shadows"):
+        merge(registry, parse_manifest(deep), heap)
+    sibling = json.dumps({"types": [{"name": "E", "bases": ["B"], "fields": [{"name": "z", "kind": "f64"}]}]})
+    merge(registry, parse_manifest(sibling), heap)
+    assert registry.find_type("E") is not None
+
+
 def test_merge_requires_quiescence(registry, heap):
     registry.busy_check = lambda: 2
     with pytest.raises(NotQuiescent):
