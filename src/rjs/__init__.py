@@ -50,7 +50,7 @@ from .registry import (
     parse_manifest,
     serialize_manifest,
 )
-from .repl import ReplSession, render_tree, repl_step
+from .repl import ReplSession, render_tree
 from .script import Environment, Interpreter, parse, pretty, render_value, tokenize
 
 __version__ = "0.1.0"
@@ -100,7 +100,6 @@ __all__ = [
     "refresh",
     "render_tree",
     "render_value",
-    "repl_step",
     "resolve_worker_count",
     "serialize_manifest",
     "strobj",

@@ -32,7 +32,6 @@ from .model import (
     TAG_F64,
     TAG_I64,
     TAG_OBJ,
-    TAG_VOID,
     BinOp,
     Builtin,
     Const,
@@ -121,12 +120,13 @@ class Heap:
         default construction.
         """
         args = args or []
-        desc = self.registry.find_type(type_name)
-        if desc is None:
+        layout = self.registry.layout(type_name)
+        if layout is None:
             raise UnknownType(f"unknown type {type_name!r}")
+        desc = layout.chain[0]
         with self._lock:
             address = self._fresh_handle()
-            storage = {decl.name: decl.initial for decl in self.registry.all_fields(type_name)}
+            storage = {name: decl.initial for name, decl in layout.fields.items()}
             self.objects[address] = HostObject(address, type_name, storage)
             self.aliases[address] = address
         if signature is None:
@@ -192,25 +192,32 @@ class Heap:
             self.globals[qualified] = value
 
     def _check_kind(self, kind: ValueKind, value: HostValue, what: str) -> None:
+        fault = self._kind_fault(kind, value, what)
+        if fault is not None:
+            raise fault
+
+    def _kind_fault(self, kind: ValueKind, value: HostValue, what: str) -> RjsError | None:
+        """The error storing `value` in a `kind` slot raises, or None if it fits."""
         if kind.tag == TAG_OBJ:
             if value.tag != TAG_OBJ:
-                raise KindMismatch(f"{what} expects {kind}, got {value.tag}")
+                return KindMismatch(f"{what} expects {kind}, got {value.tag}")
             if value.value == 0:
-                return  # null reference is assignable to any object slot
+                return None  # null reference is assignable to any object slot
             obj = self.objects.get(self.aliases.get(value.value, -1))
             if obj is None:
-                raise DanglingHandle(f"{what}: handle {value.value:#x} is dangling")
+                return DanglingHandle(f"{what}: handle {value.value:#x} is dangling")
             if self.registry.subtype_distance(obj.type_name, kind.name or "") is None:
-                raise KindMismatch(f"{what} expects {kind}, got {obj.type_name}")
-            return
+                return KindMismatch(f"{what} expects {kind}, got {obj.type_name}")
+            return None
         if kind.tag == TAG_ENUM:
             if value.tag != TAG_ENUM or value.enum_name != kind.name:
-                raise KindMismatch(f"{what} expects {kind}, got {value.tag}")
+                return KindMismatch(f"{what} expects {kind}, got {value.tag}")
             if not self.registry.is_enum_value(kind.name or "", value.value):  # type: ignore[arg-type]
-                raise KindMismatch(f"{what}: {value.value} is not an enumerator of {kind.name}")
-            return
+                return KindMismatch(f"{what}: {value.value} is not an enumerator of {kind.name}")
+            return None
         if kind.tag != value.tag:
-            raise KindMismatch(f"{what} expects {kind}, got {value.tag}")
+            return KindMismatch(f"{what} expects {kind}, got {value.tag}")
+        return None
 
     # -- body execution -----------------------------------------------------------
 
@@ -243,15 +250,10 @@ class Heap:
         return VOID if result is None else result
 
     def _coerce_return(self, declared: ValueKind, value: HostValue) -> HostValue:
-        if declared.tag == TAG_F64 and value.tag == TAG_I64:
-            return f64(float(value.value))  # type: ignore[arg-type]
-        if declared.tag == TAG_I64 and value.tag == TAG_ENUM:
-            return i64(value.value)  # type: ignore[arg-type]
-        if declared.tag == TAG_VOID and value.tag == TAG_VOID:
-            return VOID
+        value = self._implicit(declared, value)
         if declared.tag != value.tag:
             raise HostExecError(f"body returned {value.tag}, signature declares {kind_str(declared)}")
-        if declared.tag in (TAG_ENUM,) and value.enum_name != declared.name:
+        if declared.tag == TAG_ENUM and value.enum_name != declared.name:
             raise HostExecError(f"body returned enum {value.enum_name}, expected {declared.name}")
         return value
 
@@ -499,21 +501,9 @@ class Heap:
         for sig in signatures:
             if len(sig.params) != len(args):
                 continue
-            if all(self._kind_accepts(k, v) for k, v in zip(sig.params, args)):
+            if all(self._kind_fault(k, v, "argument") is None for k, v in zip(sig.params, args)):
                 return sig
         return None
-
-    def _kind_accepts(self, kind: ValueKind, value: HostValue) -> bool:
-        if kind.tag == TAG_OBJ:
-            if value.tag != TAG_OBJ:
-                return False
-            if value.value == 0:
-                return True
-            obj = self.objects.get(self.aliases.get(value.value, -1))
-            return obj is not None and self.registry.subtype_distance(obj.type_name, kind.name or "") is not None
-        if kind.tag == TAG_ENUM:
-            return value.tag == TAG_ENUM and value.enum_name == kind.name
-        return kind.tag == value.tag
 
     def _kinds_of(self, args: list[HostValue]) -> str:
         return ", ".join(a.tag for a in args)

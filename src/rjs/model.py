@@ -10,9 +10,9 @@ semantics, type descriptors, the namespace tree and the Registry itself
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
-from .errors import NotANamespace, NotFound
+from .errors import ConflictError, NotANamespace, NotFound, UnknownType, ValidationError
 
 # ---------------------------------------------------------------------------
 # value kinds
@@ -365,13 +365,51 @@ def join_path(prefix: str, name: str) -> str:
 class TypeLayout:
     """Result of one walk up a type's inheritance graph.
 
-    `chain` is the type followed by its ancestors, nearest first;
-    `distance` maps the type and every ancestor name to the number of
-    base steps that reach it.
+    `chain` is the type followed by its ancestors, nearest first, each
+    shared ancestor once; `distance` maps the type and every ancestor
+    name to the fewest base steps that reach it; `fields` maps every
+    declared or inherited field name to its declaration, root base first.
     """
 
     chain: list[HostTypeDescriptor]
     distance: dict[str, int]
+    fields: dict[str, FieldDecl]
+
+
+def walk_layout(
+    desc: HostTypeDescriptor, find: Callable[[str], HostTypeDescriptor | None]
+) -> TypeLayout:
+    """Walk `desc`'s bases breadth-first, resolving each name with `find`.
+
+    This is the only code that follows `HostTypeDescriptor.bases`. It
+    raises UnknownType for a base `find` cannot resolve, ValidationError
+    when the walk comes back to `desc`, and ConflictError when `desc`
+    declares a field an ancestor already declares.
+    """
+    name = desc.qualified_name
+    chain = [desc]
+    distance = {name: 0}
+    for current in chain:  # the loop sees the ancestors appended below
+        level = distance[current.qualified_name] + 1
+        for base in current.bases:
+            if base in distance:
+                if base == name:
+                    raise ValidationError(f"type {name!r} has a cyclic base chain")
+                continue
+            found = find(base)
+            if found is None:
+                raise UnknownType(f"type {name!r}: unknown base {base!r}")
+            distance[base] = level
+            chain.append(found)
+    fields: dict[str, FieldDecl] = {}
+    for ancestor in chain[:0:-1]:  # root base first, so a nearer declaration wins
+        for decl in ancestor.fields:
+            fields[decl.name] = decl
+    for decl in desc.fields:
+        if decl.name in fields:
+            raise ConflictError(f"type {name!r}: field {decl.name!r} shadows a base field")
+        fields[decl.name] = decl
+    return TypeLayout(chain, distance, fields)
 
 
 class Registry:
@@ -453,38 +491,26 @@ class Registry:
 
     # -- inheritance helpers ---------------------------------------------------
 
-    def _layout(self, qualified_name: str) -> TypeLayout | None:
+    def layout(self, qualified_name: str) -> TypeLayout | None:
         """The type's memoised layout, or None if no such type exists.
 
-        One breadth-first walk builds it; it is kept for the life of the
-        registry. That is exact, not merely per version: a merged type's
-        bases and fields never change, every base exists when its type is
-        merged, types are never removed or redeclared, and an extension
-        only appends to `desc.methods` in place, which the descriptors in
-        `chain` show. A name that is not found is never memoised. Worker
-        threads reach this through `Heap.exec_body`; two threads may both
-        build a layout, but the values are equal and a dict store is
-        atomic under the GIL, so no lock is needed.
+        `walk_layout` builds it on first use; it is kept for the life of
+        the registry. That is exact, not merely per version: a merged
+        type's bases and fields never change, every base exists when its
+        type is merged, types are never removed or redeclared, and an
+        extension only appends to `desc.methods` in place, which the
+        descriptors in `chain` show. A name that is not found is never
+        memoised. Worker threads reach this through `Heap.exec_body`; two
+        threads may both build a layout, but the values are equal and a
+        dict store is atomic under the GIL, so no lock is needed. The
+        layout is shared; callers must not modify it.
         """
         layout = self._layouts.get(qualified_name)
-        if layout is not None:
-            return layout
-        chain: list[HostTypeDescriptor] = []
-        distance: dict[str, int] = {}
-        queue = [(qualified_name, 0)]
-        for name, level in queue:  # the loop sees the bases appended below
-            if name in distance:
-                continue
-            distance[name] = level
-            desc = self.find_type(name)
+        if layout is None:
+            desc = self.find_type(qualified_name)
             if desc is None:
-                continue
-            chain.append(desc)
-            queue.extend((base, level + 1) for base in desc.bases)
-        if not chain:
-            return None
-        layout = TypeLayout(chain, distance)
-        self._layouts[qualified_name] = layout
+                return None
+            layout = self._layouts[qualified_name] = walk_layout(desc, self.find_type)
         return layout
 
     def base_chain(self, qualified_name: str) -> list[HostTypeDescriptor]:
@@ -492,29 +518,19 @@ class Registry:
 
         The list is the memoised one; callers must not modify it.
         """
-        layout = self._layout(qualified_name)
+        layout = self.layout(qualified_name)
         return layout.chain if layout is not None else []
 
     def subtype_distance(self, dynamic: str, target: str) -> int | None:
-        """Steps up the base chain from `dynamic` to `target`, None if unrelated."""
-        layout = self._layout(dynamic)
+        """Fewest steps up the bases from `dynamic` to `target`, None if unrelated."""
+        layout = self.layout(dynamic)
         if layout is None:
             return 0 if dynamic == target else None
         return layout.distance.get(target)
 
-    def all_fields(self, qualified_name: str) -> list[FieldDecl]:
-        """Declared plus inherited fields, root base first."""
-        decls: list[FieldDecl] = []
-        for desc in reversed(self.base_chain(qualified_name)):
-            decls.extend(desc.fields)
-        return decls
-
     def field_decl(self, qualified_name: str, field_name: str) -> FieldDecl | None:
-        for desc in self.base_chain(qualified_name):
-            for decl in desc.fields:
-                if decl.name == field_name:
-                    return decl
-        return None
+        layout = self.layout(qualified_name)
+        return layout.fields.get(field_name) if layout is not None else None
 
     def method_set(self, qualified_name: str, method_name: str) -> OverloadSet | None:
         """Nearest declaring type wins: a derived set hides a base set."""
@@ -539,8 +555,6 @@ class Registry:
             if part not in node.namespaces:
                 held = [c for c in node.categories_holding(part) if c != "namespace"]
                 if held:
-                    from .errors import ConflictError
-
                     raise ConflictError(f"{walked!r} already declared as a {held[0]}")
                 node.namespaces[part] = NamespaceNode(part)
                 self.journal.append(("namespace", walked))
@@ -554,8 +568,6 @@ class Registry:
         name = parts[-1]
         held = node.categories_holding(name)
         if held:
-            from .errors import ConflictError
-
             raise ConflictError(f"{qualified!r} already declared as a {held[0]}")
         decl = GlobalDecl(name, qualified, kind, initial)
         node.globals[name] = decl

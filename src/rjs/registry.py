@@ -17,11 +17,8 @@ from dataclasses import dataclass, field
 
 from .errors import (
     ConflictError,
-    NotANamespace,
-    NotFound,
     NotQuiescent,
     ParseError,
-    UnknownType,
     ValidationError,
 )
 from .heap import Heap
@@ -69,6 +66,7 @@ from .model import (
     sig_str,
     split_path,
     strobj,
+    walk_layout,
 )
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -586,6 +584,9 @@ def _parse_type(raw: object, index: int) -> TypeSpec:
         fields.append(FieldSpec(fname, fkind, initial))
     if len({f.name for f in fields}) != len(fields):
         raise ValidationError(f"{what}: duplicate field names")
+    repeated = [b for i, b in enumerate(bases) if b in bases[:i]]
+    if repeated:
+        raise ValidationError(f"{what}: base {repeated[0]!r} is listed more than once")
 
     methods: list[MethodSpec] = []
     for mraw in _as_list(raw.get("methods", []), f"{what} methods"):
@@ -829,7 +830,6 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
     new_types: list[HostTypeDescriptor] = []
     type_homes: dict[str, str] = {}
     extensions: list[tuple[str, list[MethodSpec]]] = []
-    overlay_types: dict[str, tuple[str, ...]] = {}
     for t in ast.types:
         existing = _existing_entry(registry, t.namespace, t.name)
         if isinstance(existing, HostTypeDescriptor):
@@ -858,10 +858,11 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
         )
         new_types.append(desc)
         type_homes[t.qualified] = t.namespace
-        overlay_types[t.qualified] = t.bases
 
-    _check_base_chains(registry, overlay_types)
-    _check_field_shadowing(registry, new_types, overlay_types)
+    # the walk checks bases and field shadowing; the layout itself is not kept
+    new_by_name = {d.qualified_name: d for d in new_types}
+    for desc in new_types:
+        walk_layout(desc, lambda name: new_by_name.get(name) or registry.find_type(name))
 
     functions: list[tuple[str, str, MethodSignature]] = []
     for fn in ast.functions:
@@ -919,10 +920,11 @@ def _check_namespace_path(registry: Registry, path: str) -> None:
 
 
 def _existing_entry(registry: Registry, namespace: str, name: str):
-    try:
-        node = registry.namespace_at(namespace)
-    except (NotFound, NotANamespace):
-        return None  # namespace is created by this merge; nothing to collide with
+    node = registry.root
+    for part in split_path(namespace):
+        node = node.namespaces.get(part)
+        if node is None:
+            return None  # namespace is created by this merge; nothing to collide with
     if name in node.namespaces:
         return node.namespaces[name]
     if name in node.types:
@@ -980,68 +982,6 @@ def _build_method_sets(methods: tuple[MethodSpec, ...]) -> dict[str, OverloadSet
     for m in methods:
         sets.setdefault(m.name, OverloadSet(m.name)).signatures.append(m.signature)
     return sets
-
-
-def _check_base_chains(registry: Registry, overlay: dict[str, tuple[str, ...]]) -> None:
-    def bases_of(qualified: str) -> tuple[str, ...] | None:
-        if qualified in overlay:
-            return overlay[qualified]
-        desc = registry.find_type(qualified)
-        return desc.bases if desc is not None else None
-
-    for qualified in overlay:
-        seen: set[str] = set()
-        frontier = [qualified]
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                raise ValidationError(f"type {qualified!r} has a cyclic base chain")
-            seen.add(name)
-            bases = bases_of(name)
-            if bases is None:
-                raise UnknownType(f"type {qualified!r}: unknown base {name!r}")
-            frontier.extend(bases)
-
-
-def _check_field_shadowing(
-    registry: Registry,
-    new_types: list[HostTypeDescriptor],
-    overlay: dict[str, tuple[str, ...]],
-) -> None:
-    new_by_name = {d.qualified_name: d for d in new_types}
-    memo: dict[str, set[str]] = {}
-    for desc in new_types:
-        inherited: set[str] = set()
-        for base in desc.bases:
-            inherited |= _field_names(base, new_by_name, registry, memo)
-        for f in desc.fields:
-            if f.name in inherited:
-                raise ConflictError(
-                    f"type {desc.qualified_name!r}: field {f.name!r} shadows a base field"
-                )
-
-
-def _field_names(
-    qualified: str,
-    new_by_name: dict[str, HostTypeDescriptor],
-    registry: Registry,
-    memo: dict[str, set[str]],
-) -> set[str]:
-    """Every field name `qualified` declares or inherits, memoised per merge.
-
-    The base chains are known to be acyclic here (`_check_base_chains`).
-    The memoised sets are shared; callers must not modify them.
-    """
-    names = memo.get(qualified)
-    if names is None:
-        desc = new_by_name.get(qualified) or registry.find_type(qualified)
-        names = set()
-        if desc is not None:
-            names = {f.name for f in desc.fields}
-            for base in desc.bases:
-                names |= _field_names(base, new_by_name, registry, memo)
-        memo[qualified] = names
-    return names
 
 
 def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> None:

@@ -117,7 +117,3 @@ class ReplSession:
         except RjsError as exc:
             buffer.write(f"error: {type(exc).__name__}: {exc}\n")
         self.bridge.dispatcher.process_events()
-
-
-def repl_step(line: str, session: ReplSession) -> str:
-    return session.step(line)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -15,6 +16,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 PLUGINS = REPO_ROOT / "plugins"
 SCRIPTS = REPO_ROOT / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# subprocesses (`python -m rjs.cli`) import rjs from this checkout too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

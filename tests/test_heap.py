@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from rjs import Heap, Registry, f64, i64, cstr, ref
+from rjs import Heap, Registry, cstr, enumval, f64, i64, ref
 from rjs.errors import (
     DanglingHandle,
     HostExecError,
@@ -379,6 +379,17 @@ def test_mixed_numeric_promotes_to_f64(world):
     sig = MethodSignature((), K_F64, True,
                           (Return(BinOp("+", Const(i64(1)), Const(f64(0.5)))),))
     assert heap.exec_body(None, sig, []) == f64(1.5)
+
+
+def test_return_widens_like_a_store_and_rejects_other_kinds(world):
+    _, heap = world
+    widened = MethodSignature((), K_F64, True, (Return(Const(i64(2))),))
+    assert heap.exec_body(None, widened, []) == f64(2.0)
+    as_int = MethodSignature((), K_I64, True, (Return(Const(enumval("EMode", 1))),))
+    assert heap.exec_body(None, as_int, []) == i64(1)
+    narrowed = MethodSignature((), K_I64, True, (Return(Const(f64(2.0))),))
+    with pytest.raises(HostExecError, match="body returned f64, signature declares i64"):
+        heap.exec_body(None, narrowed, [])
 
 
 def test_missing_return_in_non_void_body_faults(world):

@@ -113,13 +113,8 @@ def step_type(world: World, data) -> tuple[dict, int]:
     namespace = data.draw(st.sampled_from(world.namespaces))
     qualified = _join(namespace, world.fresh("T"))
     bases: list[str] = []
-    covered: set[str] = set()
-    if world.bases:
-        for base in data.draw(st.lists(st.sampled_from(sorted(world.bases)), max_size=2)):
-            above = world.ancestors(base)
-            if not above & covered:  # diamonds and repeated bases are rejected at merge
-                bases.append(base)
-                covered |= above
+    if world.bases:  # shared ancestors (diamonds) included
+        bases = data.draw(st.lists(st.sampled_from(sorted(world.bases)), unique=True, max_size=3))
     fields = []
     for _ in range(data.draw(st.integers(0, 2))):
         name = world.fresh("f")

@@ -116,6 +116,12 @@ def test_duplicate_field_names_rejected():
         parse_manifest(json.dumps(bad))
 
 
+def test_repeated_base_rejected():
+    bad = {"types": [{"name": "X"}, {"name": "T", "bases": ["X", "X"]}]}
+    with pytest.raises(ValidationError, match="base 'X' is listed more than once"):
+        parse_manifest(json.dumps(bad))
+
+
 def test_indistinguishable_overloads_in_one_manifest_rejected():
     bad = {
         "types": [{

@@ -141,6 +141,59 @@ def test_cyclic_bases_rejected(registry, heap):
         merge(registry, parse_manifest(bad), heap)
 
 
+def test_cycle_through_three_new_types_rejected(registry, heap):
+    bad = json.dumps({"types": [
+        {"name": "A", "bases": ["B"]},
+        {"name": "B", "bases": ["C"]},
+        {"name": "C", "bases": ["A"]},
+    ]})
+    with pytest.raises(ValidationError, match="cyclic"):
+        merge(registry, parse_manifest(bad), heap)
+    assert registry.version == 0
+    assert registry.find_type("A") is None
+
+
+DIAMOND = [
+    {"name": "D", "fields": [{"name": "d", "kind": "i64", "initial": 4}]},
+    {"name": "B", "bases": ["D"], "fields": [{"name": "b", "kind": "i64"}]},
+    {"name": "C", "bases": ["D"], "fields": [{"name": "c", "kind": "i64"}]},
+]
+
+
+def test_diamond_accepted_with_shared_ancestor_once(registry, heap):
+    types = [*DIAMOND, {"name": "T", "bases": ["B", "C"],
+                        "fields": [{"name": "t", "kind": "i64"}]}]
+    merge(registry, parse_manifest(json.dumps({"types": types})), heap)
+    assert [d.qualified_name for d in registry.base_chain("T")] == ["T", "B", "C", "D"]
+    assert registry.subtype_distance("T", "D") == 2
+    storage = heap.objects[heap.construct("T")].storage
+    assert list(storage) == ["d", "c", "b", "t"]  # root base first, D's field once
+    assert storage["d"].value == 4
+
+
+def test_field_shadowing_through_one_side_of_a_diamond_rejected(registry, heap):
+    types = [*DIAMOND, {"name": "T", "bases": ["B", "C"],
+                        "fields": [{"name": "b", "kind": "i64"}]}]
+    with pytest.raises(ConflictError, match="'T': field 'b' shadows"):
+        merge(registry, parse_manifest(json.dumps({"types": types})), heap)
+    assert registry.version == 0
+
+
+def test_merge_into_new_namespace_raises_no_not_found(registry, heap, monkeypatch):
+    raised = []
+    init = NotFound.__init__
+
+    def counting_init(self, *args, **kwargs):
+        raised.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NotFound, "__init__", counting_init)
+    types = [{"name": f"T{i}", "namespace": "Fresh.Inner"} for i in range(50)]
+    merge(registry, parse_manifest(json.dumps({"types": types})), heap)
+    assert len(registry.enumerate("Fresh.Inner").types) == 50
+    assert raised == []
+
+
 def test_field_shadowing_rejected(registry, heap):
     bad = json.dumps({"types": [
         {"name": "A", "fields": [{"name": "x", "kind": "f64"}]},

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from rjs.registry import merge, parse_manifest
-from rjs.repl import ReplSession, render_tree, repl_step
+from rjs.repl import ReplSession, render_tree
 
 
 @pytest.fixture
@@ -20,36 +20,36 @@ def session(bridge):
 
 def test_bare_expression_prints(session):
     repl, _ = session
-    assert repl_step("1+1", repl) == "2\n"
+    assert repl.step("1+1") == "2\n"
 
 
 def test_let_binding_persists_across_steps(session):
     repl, _ = session
-    assert repl_step("let x = 21;", repl) == ""
-    assert repl_step("x * 2", repl) == "42\n"
+    assert repl.step("let x = 21;") == ""
+    assert repl.step("x * 2") == "42\n"
 
 
 def test_null_results_are_suppressed(session):
     repl, _ = session
-    assert repl_step("null", repl) == ""
+    assert repl.step("null") == ""
 
 
 def test_errors_render_and_session_survives(session):
     repl, _ = session
-    text = repl_step("nope", repl)
+    text = repl.step("nope")
     assert "ScriptNameError" in text
-    assert repl_step("2+2", repl) == "4\n"
-    text = repl_step("let x = ;", repl)
+    assert repl.step("2+2") == "4\n"
+    text = repl.step("let x = ;")
     assert "ParseError" in text
 
 
 def test_async_callback_appears_after_explicit_pump(session, sample_plugin):
     repl, _ = session
-    repl_step(f'root.loadlibrary("{sample_plugin}");', repl)
-    first = repl_step('root.TFile.Open("f.root", fn(f) { print(f.GetName()); });', repl)
+    repl.step(f'root.loadlibrary("{sample_plugin}");')
+    first = repl.step('root.TFile.Open("f.root", fn(f) { print(f.GetName()); });')
     assert "f.root" not in first  # body sleeps; auto-pump ran too early
     time.sleep(0.08)
-    assert repl_step(".pump", repl) == "f.root\n"
+    assert repl.step(".pump") == "f.root\n"
 
 
 def test_auto_pump_delivers_fast_completions(session, bridge):
@@ -59,21 +59,21 @@ def test_auto_pump_delivers_fast_completions(session, bridge):
                        "body": [{"op": "ret", "value": {"op": "param", "index": 0}}]}]})),
         bridge.heap)
     bridge.refresh()
-    repl_step("root.Echo(5, fn(v) { print(v); });", repl)
+    repl.step("root.Echo(5, fn(v) { print(v); });")
     time.sleep(0.08)
-    out = repl_step("1;", repl)  # next step's auto-pump delivers
+    out = repl.step("1;")  # next step's auto-pump delivers
     assert "5" in out
 
 
 def test_tree_on_empty_registry(session):
     repl, _ = session
-    assert repl_step(".tree", repl) == "(empty)\n"
+    assert repl.step(".tree") == "(empty)\n"
 
 
 def test_tree_lists_sample_names_sorted(session, sample_plugin, bridge):
     repl, _ = session
-    repl_step(f'root.loadlibrary("{sample_plugin}");', repl)
-    text = repl_step(".tree", repl)
+    repl.step(f'root.loadlibrary("{sample_plugin}");')
+    text = repl.step(".tree")
     assert text == render_tree(bridge.registry)
     lines = text.splitlines()
     tree_part = lines[: lines.index("enums:")]
@@ -83,13 +83,13 @@ def test_tree_lists_sample_names_sorted(session, sample_plugin, bridge):
 
 def test_quit_ends_session(session):
     repl, _ = session
-    repl_step(".quit", repl)
+    repl.step(".quit")
     assert repl.active is False
 
 
 def test_unknown_meta_command(session):
     repl, _ = session
-    assert "unknown command" in repl_step(".bogus", repl)
+    assert "unknown command" in repl.step(".bogus")
 
 
 def test_async_fault_prints_into_session(session, bridge):
@@ -101,13 +101,13 @@ def test_async_fault_prints_into_session(session, bridge):
                                     "r": {"op": "const", "value": 0}}}]}]})),
         bridge.heap)
     bridge.refresh()
-    repl_step("root.Bad(fn(v) { print(v); });", repl)
+    repl.step("root.Bad(fn(v) { print(v); });")
     time.sleep(0.08)
-    text = repl_step(".pump", repl)
+    text = repl.step(".pump")
     assert "HostExecError" in text and "division" in text
 
 
 def test_output_also_written_to_stream(session):
     repl, out = session
-    repl_step("print(7);", repl)
+    repl.step("print(7);")
     assert out.getvalue() == "7\n"
