@@ -264,35 +264,39 @@ class Heap:
         args: list[HostValue],
         create_globals: bool,
     ) -> HostValue | None:
-        """Execute in order; returns the Return value or None when none ran."""
-        for stmt in statements:
-            match stmt:
-                case Return(value):
-                    return VOID if value is None else self._eval(value, self_addr, args)
-                case SetField(name, expr):
-                    if self_addr is None:
-                        raise HostExecError("field write outside an instance context")
-                    value = self._eval(expr, self_addr, args)
-                    decl = self.registry.field_decl(self._type_of(self_addr), name)
-                    if decl is None:
-                        raise HostExecError(f"unknown field {name!r}")
-                    self._guarded_write_field(self_addr, name, self._implicit(decl.kind, value))
-                case SetGlobal(name, expr):
-                    value = self._eval(expr, self_addr, args)
-                    self._set_global(name, value, create_globals)
-                case ExprStmt(expr):
-                    self._eval(expr, self_addr, args)
+        """Execute in order; returns the Return value or None when none ran.
+
+        This is the body's one fault boundary: any other RjsError raised
+        while it runs (a dangling handle, an unknown type, a kind mismatch)
+        surfaces as a HostExecError with the same message.
+        """
+        try:
+            for stmt in statements:
+                match stmt:
+                    case Return(value):
+                        return VOID if value is None else self._eval(value, self_addr, args)
+                    case SetField(name, expr):
+                        if self_addr is None:
+                            raise HostExecError("field write outside an instance context")
+                        value = self._eval(expr, self_addr, args)
+                        decl = self.registry.field_decl(self._type_of(self_addr), name)
+                        if decl is None:
+                            raise HostExecError(f"unknown field {name!r}")
+                        self.write_field(self_addr, name, self._implicit(decl.kind, value))
+                    case SetGlobal(name, expr):
+                        value = self._eval(expr, self_addr, args)
+                        self._set_global(name, value, create_globals)
+                    case ExprStmt(expr):
+                        self._eval(expr, self_addr, args)
+        except HostExecError:
+            raise
+        except RjsError as exc:
+            raise HostExecError(str(exc)) from exc
         return None
 
     def _type_of(self, canonical: int) -> str:
         with self._lock:
             return self.objects[canonical].type_name
-
-    def _guarded_write_field(self, addr: int, name: str, value: HostValue) -> None:
-        try:
-            self.write_field(addr, name, value)
-        except RjsError as exc:
-            raise HostExecError(str(exc)) from exc
 
     def _set_global(self, qualified: str, value: HostValue, create: bool) -> None:
         decl = self.registry.find_global(qualified)
@@ -302,17 +306,11 @@ class Heap:
             kind = self._kind_for_value(value)
             if kind is None:
                 raise HostExecError(f"cannot infer a storage kind for global {qualified!r}")
-            try:
-                self.registry.declare_global(qualified, kind, value)
-            except RjsError as exc:
-                raise HostExecError(str(exc)) from exc
+            self.registry.declare_global(qualified, kind, value)
             with self._lock:
                 self.globals[qualified] = value
             return
-        try:
-            self.write_global(qualified, self._implicit(decl.kind, value))
-        except RjsError as exc:
-            raise HostExecError(str(exc)) from exc
+        self.write_global(qualified, self._implicit(decl.kind, value))
 
     def _kind_for_value(self, value: HostValue) -> ValueKind | None:
         match value.tag:
@@ -352,15 +350,9 @@ class Heap:
             case GetField(name):
                 if self_addr is None:
                     raise HostExecError("field read outside an instance context")
-                try:
-                    return self.read_field(self_addr, name)
-                except RjsError as exc:
-                    raise HostExecError(str(exc)) from exc
+                return self.read_field(self_addr, name)
             case GetGlobal(name):
-                try:
-                    return self.read_global(name)
-                except RjsError as exc:
-                    raise HostExecError(str(exc)) from exc
+                return self.read_global(name)
             case BinOp(op, left, right):
                 return self._arith(op, self._eval(left, self_addr, args),
                                    self._eval(right, self_addr, args))
@@ -369,12 +361,7 @@ class Heap:
                 return self._builtin(name, values)
             case New(type_name, arg_exprs):
                 values = [self._eval(a, self_addr, args) for a in arg_exprs]
-                try:
-                    return ref(self.construct(type_name, values))
-                except HostExecError:
-                    raise
-                except RjsError as exc:
-                    raise HostExecError(str(exc)) from exc
+                return ref(self.construct(type_name, values))
             case _:
                 raise HostExecError(f"unknown expression node {expr!r}")
 
@@ -486,10 +473,7 @@ class Heap:
             case "alias":
                 if values[0].tag != TAG_OBJ:
                     raise HostExecError(f"alias requires an object reference, got {values[0].tag}")
-                try:
-                    return ref(self.make_alias(values[0].value))  # type: ignore[arg-type]
-                except RjsError as exc:
-                    raise HostExecError(str(exc)) from exc
+                return ref(self.make_alias(values[0].value))  # type: ignore[arg-type]
             case _:
                 raise HostExecError(f"unknown builtin {name!r}")
 

@@ -383,8 +383,9 @@ def walk_layout(
 
     This is the only code that follows `HostTypeDescriptor.bases`. It
     raises UnknownType for a base `find` cannot resolve, ValidationError
-    when the walk comes back to `desc`, and ConflictError when `desc`
-    declares a field an ancestor already declares.
+    when the walk comes back to `desc`, and ConflictError when two types
+    in the chain declare the same field: `desc` and an ancestor, or two
+    ancestors on different paths.
     """
     name = desc.qualified_name
     chain = [desc]
@@ -402,13 +403,17 @@ def walk_layout(
             distance[base] = level
             chain.append(found)
     fields: dict[str, FieldDecl] = {}
-    for ancestor in chain[:0:-1]:  # root base first, so a nearer declaration wins
+    for ancestor in reversed(chain):  # root base first, `desc` last
         for decl in ancestor.fields:
+            if decl.name in fields:
+                if ancestor is desc:
+                    raise ConflictError(f"type {name!r}: field {decl.name!r} shadows a base field")
+                owner = next(a for a in reversed(chain) if decl.name in {f.name for f in a.fields})
+                raise ConflictError(
+                    f"type {name!r}: field {decl.name!r} is declared by both"
+                    f" {owner.qualified_name!r} and {ancestor.qualified_name!r}"
+                )
             fields[decl.name] = decl
-    for decl in desc.fields:
-        if decl.name in fields:
-            raise ConflictError(f"type {name!r}: field {decl.name!r} shadows a base field")
-        fields[decl.name] = decl
     return TypeLayout(chain, distance, fields)
 
 

@@ -280,7 +280,7 @@ def parse_expr(raw: object, ctx: _BodyCtx) -> Expr:
         case "builtin":
             _require_keys(raw, {"op", "name", "args"}, {"name", "args"}, ctx.what)
             name = raw["name"]
-            if name not in BUILTINS:
+            if not isinstance(name, str) or name not in BUILTINS:
                 raise ValidationError(f"{ctx.what}: unknown builtin {name!r}")
             if not isinstance(raw["args"], list):
                 raise ValidationError(f"{ctx.what}: builtin args must be a list")
@@ -493,6 +493,13 @@ def _reject_nonfinite(token: str) -> float:
 
 def parse_manifest(text: str) -> ManifestAST:
     """Parse and validate plugin/macro text. Never mutates a registry."""
+    try:
+        return _parse_manifest(text)
+    except RecursionError:  # JSON nesting or an expression deeper than the stack
+        raise ParseError("manifest nesting too deep") from None
+
+
+def _parse_manifest(text: str) -> ManifestAST:
     try:
         # strict JSON: the Infinity/NaN extensions never enter host values
         data = json.loads(text, parse_constant=_reject_nonfinite)

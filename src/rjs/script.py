@@ -12,23 +12,22 @@ access, calls and arithmetic are the whole surface.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Any, TextIO
+from typing import Any, NamedTuple, TextIO
 
 from .bridge import Bridge, BoundBuiltin, FnRef, Invocation, MethodRef, NsRef, Proxy, TypeRef, weak_method
 from .errors import LexError, ParseError, ScriptNameError, ScriptTypeError
 from .model import format_number
 
 KEYWORDS = ("let", "fn", "true", "false", "null")
-PUNCT = ".,;(){}=+-*/%"
 
 
 # ---------------------------------------------------------------------------
 # tokens
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # num str ident kw punct eof
     text: str
     value: Any
@@ -36,88 +35,46 @@ class Token:
     col: int
 
 
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r"\\(.)")
+_STRING_BODY = re.compile(r'(?:[^"\\\n]|\\[ntr"\\])*')
+# One alternative per token class, tried in order; `bad` catches any other
+# character, including a quote that does not open a well-formed string.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r]+|//[^\n]*)|(?P<newline>\n)|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d*)?)"
+    r"|(?P<ident>[^\W\d]\w*)|(?P<str>\"" + _STRING_BODY.pattern + r"\")"
+    r"|(?P<punct>[.,;(){}=+\-*/%])|(?P<bad>.)")
+
+
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
-    pos, line, col = 0, 1, 1
-
-    def advance(n: int = 1) -> None:
-        nonlocal pos, line, col
-        for _ in range(n):
-            if pos < len(src) and src[pos] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
-    while pos < len(src):
-        ch = src[pos]
-        if ch in " \t\r\n":
-            advance()
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "skip":
             continue
-        if ch == "/" and src[pos : pos + 2] == "//":
-            while pos < len(src) and src[pos] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch.isdigit():
-            begin = pos
-            while pos < len(src) and src[pos].isdigit():
-                advance()
-            if pos < len(src) and src[pos] == "." and pos + 1 < len(src) and src[pos + 1].isdigit():
-                advance()
-                while pos < len(src) and src[pos].isdigit():
-                    advance()
-            if pos < len(src) and src[pos] in "eE":
-                advance()
-                if pos < len(src) and src[pos] in "+-":
-                    advance()
-                if not (pos < len(src) and src[pos].isdigit()):
-                    raise LexError("malformed exponent", start_line, start_col)
-                while pos < len(src) and src[pos].isdigit():
-                    advance()
-            text = src[begin:pos]
-            tokens.append(Token("num", text, float(text), start_line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            begin = pos
-            while pos < len(src) and (src[pos].isalnum() or src[pos] == "_"):
-                advance()
-            text = src[begin:pos]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, text, start_line, start_col))
-            continue
-        if ch == '"':
-            advance()
-            parts: list[str] = []
-            while True:
-                if pos >= len(src) or src[pos] == "\n":
-                    raise LexError("unterminated string", start_line, start_col)
-                c = src[pos]
-                if c == '"':
-                    advance()
-                    break
-                if c == "\\":
-                    advance()
-                    if pos >= len(src):
-                        raise LexError("unterminated string", start_line, start_col)
-                    escape = src[pos]
-                    mapped = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}.get(escape)
-                    if mapped is None:
-                        raise LexError(f"unknown escape \\{escape}", line, col)
-                    parts.append(mapped)
-                    advance()
-                    continue
-                parts.append(c)
-                advance()
-            tokens.append(Token("str", "".join(parts), "".join(parts), start_line, start_col))
-            continue
-        if ch in PUNCT:
-            tokens.append(Token("punct", ch, ch, start_line, start_col))
-            advance()
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", None, line, col))
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "num":
+            if text[-1] in "eE+-":
+                raise LexError("malformed exponent", line, col)
+            tokens.append(Token("num", text, float(text), line, col))
+        elif kind == "ident" and (text[0].isalpha() or text[0] == "_"):
+            tokens.append(Token("kw" if text in KEYWORDS else "ident", text, text, line, col))
+        elif kind == "str":
+            body = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
+            tokens.append(Token("str", body, body, line, col))
+        elif kind == "punct":
+            tokens.append(Token("punct", text, text, line, col))
+        elif text == '"':  # the first bad escape before the line ends wins
+            end = _STRING_BODY.match(src, m.end()).end()
+            if src.startswith("\\", end) and end + 1 < len(src):
+                raise LexError(f"unknown escape \\{src[end + 1]}", line, end + 2 - line_start)
+            raise LexError("unterminated string", line, col)
+        else:  # includes a non-letter that `\w` accepts as a word start, such as ²
+            raise LexError(f"unexpected character {text[0]!r}", line, col)
+    tokens.append(Token("eof", "", None, line, len(src) - line_start + 1))
     return tokens
 
 
@@ -227,6 +184,11 @@ class Parser:
         tok = tok or self._peek()
         return ParseError(message, tok.line, tok.col)
 
+    def _at(self, *texts: str) -> bool:
+        """Whether the next token is punctuation spelled as one of `texts`."""
+        tok = self._tokens[self._pos]
+        return tok.type == "punct" and tok.text in texts
+
     def _expect(self, type_: str, text: str | None = None) -> Token:
         tok = self._peek()
         if tok.type != type_ or (text is not None and tok.text != text):
@@ -250,7 +212,7 @@ class Parser:
             self._expect("punct", ";")
             return SLet(name.text, value, (tok.line, tok.col))
         expr = self.parse_expr()
-        if self._peek().type == "punct" and self._peek().text == "=":
+        if self._at("="):
             if not isinstance(expr, (SIdent, SMember)):
                 raise self._fail("only names and members can be assigned")
             self._next()
@@ -265,7 +227,7 @@ class Parser:
 
     def _additive(self) -> SExpr:
         left = self._multiplicative()
-        while self._peek().type == "punct" and self._peek().text in "+-":
+        while self._at("+", "-"):
             op = self._next()
             right = self._multiplicative()
             left = SBin(op.text, left, right, (op.line, op.col))
@@ -273,7 +235,7 @@ class Parser:
 
     def _multiplicative(self) -> SExpr:
         left = self._postfix()
-        while self._peek().type == "punct" and self._peek().text in "*/%":
+        while self._at("*", "/", "%"):
             op = self._next()
             right = self._postfix()
             left = SBin(op.text, left, right, (op.line, op.col))
@@ -281,25 +243,21 @@ class Parser:
 
     def _postfix(self) -> SExpr:
         expr = self._primary()
-        while True:
-            tok = self._peek()
-            if tok.type == "punct" and tok.text == ".":
-                self._next()
+        while self._at(".", "("):
+            tok = self._next()
+            if tok.text == ".":
                 name = self._expect("ident")
                 expr = SMember(expr, name.text, (name.line, name.col))
                 continue
-            if tok.type == "punct" and tok.text == "(":
-                self._next()
-                args: list[SExpr] = []
-                if not (self._peek().type == "punct" and self._peek().text == ")"):
+            args: list[SExpr] = []
+            if not self._at(")"):
+                args.append(self.parse_expr())
+                while self._at(","):
+                    self._next()
                     args.append(self.parse_expr())
-                    while self._peek().type == "punct" and self._peek().text == ",":
-                        self._next()
-                        args.append(self.parse_expr())
-                self._expect("punct", ")")
-                expr = SCall(expr, tuple(args), (tok.line, tok.col))
-                continue
-            return expr
+            self._expect("punct", ")")
+            expr = SCall(expr, tuple(args), (tok.line, tok.col))
+        return expr
 
     def _primary(self) -> SExpr:
         tok = self._peek()
@@ -322,7 +280,7 @@ class Parser:
         if tok.type == "ident":
             self._next()
             return SIdent(tok.text, (tok.line, tok.col))
-        if tok.type == "punct" and tok.text == "(":
+        if self._at("("):
             self._next()
             inner = self.parse_expr()
             self._expect("punct", ")")
@@ -335,13 +293,13 @@ class Parser:
         params: list[str] = []
         if self._peek().type == "ident":
             params.append(self._next().text)
-            while self._peek().type == "punct" and self._peek().text == ",":
+            while self._at(","):
                 self._next()
                 params.append(self._expect("ident").text)
         self._expect("punct", ")")
         self._expect("punct", "{")
         body: list[SStmt] = []
-        while not (self._peek().type == "punct" and self._peek().text == "}"):
+        while not self._at("}"):
             if self._peek().type == "eof":
                 raise self._fail("unterminated function body")
             body.append(self.parse_statement())
@@ -352,7 +310,11 @@ class Parser:
 
 
 def parse(src: str) -> tuple[SStmt, ...]:
-    return Parser(tokenize(src)).parse_program()
+    parser = Parser(tokenize(src))
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise parser._fail("nesting too deep") from None
 
 
 # ---------------------------------------------------------------------------

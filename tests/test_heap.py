@@ -34,6 +34,7 @@ from rjs.model import (
     Param,
     Return,
     SelfRef,
+    SetGlobal,
     VOID,
     obj_kind,
 )
@@ -440,6 +441,15 @@ def test_dangling_ref_inside_body_is_exec_error(world):
     sig = MethodSignature((), body=(ExprStmt(Builtin("alias", (Const(ref(addr)),))),))
     with pytest.raises(HostExecError):
         heap.exec_body(None, sig, [])
+
+
+def test_macro_global_from_a_dangling_ref_is_exec_error(world):
+    registry, heap = world
+    addr = heap.construct("Bare")
+    heap.destroy(addr)
+    with pytest.raises(HostExecError, match="does not reference a live object"):
+        heap.run_macro_statements((SetGlobal("g", Const(ref(addr))),))
+    assert registry.find_global("g") is None
 
 
 # -- destroy -----------------------------------------------------------------------

@@ -122,6 +122,24 @@ def test_repeated_base_rejected():
         parse_manifest(json.dumps(bad))
 
 
+def test_builtin_name_must_be_a_string():
+    bad = {"statements": [{"op": "builtin", "name": ["x"], "args": []}]}
+    with pytest.raises(ValidationError, match="unknown builtin"):
+        parse_manifest(json.dumps(bad))
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_manifest("[" * 100000)
+
+
+def test_deeply_nested_macro_expression_is_a_parse_error():
+    leaf = '{"op": "const", "value": 1}'
+    expr = '{"op": "bin", "o": "+", "l": ' * 2000 + leaf + f', "r": {leaf}}}' * 2000
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_manifest('{"statements": [' + expr + "]}")
+
+
 def test_indistinguishable_overloads_in_one_manifest_rejected():
     bad = {
         "types": [{

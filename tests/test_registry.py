@@ -179,6 +179,20 @@ def test_field_shadowing_through_one_side_of_a_diamond_rejected(registry, heap):
     assert registry.version == 0
 
 
+def test_same_field_from_two_unrelated_ancestors_rejected(registry, heap):
+    types = [
+        {"name": "B", "fields": [{"name": "x", "kind": "f64"}]},
+        {"name": "C", "fields": [{"name": "x", "kind": "cstr"}],
+         "methods": [{"name": "SetX", "params": ["cstr"], "body": [
+             {"op": "set", "field": "x", "value": {"op": "param", "index": 0}}]}]},
+        {"name": "T", "bases": ["B", "C"]},
+    ]
+    with pytest.raises(ConflictError, match="'T': field 'x' is declared by both 'C' and 'B'"):
+        merge(registry, parse_manifest(json.dumps({"types": types})), heap)
+    assert registry.version == 0
+    assert registry.find_type("T") is None
+
+
 def test_merge_into_new_namespace_raises_no_not_found(registry, heap, monkeypatch):
     raised = []
     init = NotFound.__init__

@@ -89,6 +89,30 @@ def test_unterminated_string_reports_opening_quote():
     assert (excinfo.value.line, excinfo.value.col) == (1, 9)
 
 
+@pytest.mark.parametrize("source, message, position", [
+    ("x = 1e+;", "malformed exponent", (1, 5)),
+    ('x = "a\\qb";', "unknown escape \\q", (1, 8)),
+    ('x = "a\\q', "unknown escape \\q", (1, 8)),
+    ('x = "a\\\nb";', "unknown escape \\\n", (1, 8)),
+    ('x = "a\\', "unterminated string", (1, 5)),
+    ('x = "a\nb";', "unterminated string", (1, 5)),
+    ("\tx = ²;", "unexpected character '²'", (1, 6)),
+    ("x = ½;", "unexpected character '½'", (1, 5)),
+    ("x\r\n  = #;", "unexpected character '#'", (2, 5)),
+])
+def test_lex_errors_and_their_positions(source, message, position):
+    with pytest.raises(LexError) as excinfo:
+        tokenize(source)
+    assert excinfo.value.args[0] == message
+    assert (excinfo.value.line, excinfo.value.col) == position
+
+
+def test_deep_nesting_is_a_parse_error_at_the_current_token():
+    with pytest.raises(ParseError, match="nesting too deep") as excinfo:
+        parse("(" * 3000 + "1" + ")" * 3000 + ";")
+    assert excinfo.value.line == 1 and 1 < excinfo.value.col <= 3000
+
+
 def test_lex_positions():
     tokens = tokenize("let x = 1;\nlet y = 2;")
     assert (tokens[0].line, tokens[0].col) == (1, 1)
