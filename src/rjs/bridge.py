@@ -32,6 +32,7 @@ from .errors import (
 )
 from .heap import Heap
 from .model import (
+    CHILD_MAPS,
     TAG_ENUM,
     TAG_OBJ,
     GlobalDecl,
@@ -187,15 +188,8 @@ def refresh(root: RootObject, registry: Registry) -> int:
         parent, _, name = qualified.rpartition(".")
         node = _walk(root.tree, parent)
         assert node is not None  # the journal lists a namespace before its members
-        match category:
-            case "namespace":
-                node.namespaces[name] = PropertyNode(qualified)
-            case "type":
-                node.types[name] = qualified
-            case "function":
-                node.functions[name] = qualified
-            case "global":
-                node.globals[name] = qualified
+        child = PropertyNode(qualified) if category == "namespace" else qualified
+        getattr(node, CHILD_MAPS[category])[name] = child
     root.cursor += len(entries)
     root.version_seen = registry.version
     return len(entries)
@@ -418,6 +412,7 @@ class Bridge:
         converted result is returned; with one, a task is submitted and
         the fresh call id returned immediately.
         """
+        self.dispatcher.check_domain("invoke")
         match target:
             case FnRef(path):
                 overloads = self.registry.lookup(path)
@@ -451,38 +446,32 @@ class Bridge:
         if desc is None:
             raise ScriptNameError(f"unknown type {qualified!r}")
         call_args, callback = split_callback(args)
-        if not desc.constructors.signatures:
-            if call_args:
-                raise NoMatch(f"{qualified!r} has no constructors taking arguments")
+        if desc.constructors.signatures:
+            resolved = self._score(
+                qualified, list(enumerate(desc.constructors.signatures)), call_args, callback
+            )
+        elif call_args:
+            raise NoMatch(f"{qualified!r} has no constructors taking arguments")
+        else:  # default construction: the declared field initials, no body
             resolved = ResolvedCall(0, MethodSignature(()), [], callback)
-            return self._dispatch(None, qualified, resolved, default_construct=True)
-        scored = self._score(
-            qualified, list(enumerate(desc.constructors.signatures)), call_args, callback
-        )
-        return self._dispatch(None, qualified, scored)
+        return self._dispatch(None, qualified, resolved)
 
     def _dispatch(
-        self,
-        self_addr: int | None,
-        construct_type: str | None,
-        resolved: ResolvedCall,
-        default_construct: bool = False,
+        self, self_addr: int | None, construct_type: str | None, resolved: ResolvedCall
     ) -> Invocation:
-        signature = None if default_construct else resolved.signature
         if resolved.callback is not None:
             task = CallTask(
                 target=self_addr,
-                signature=signature,
+                signature=resolved.signature,
                 args=resolved.converted,
                 construct_type=construct_type,
             )
             call_id = self.dispatcher.submit(task, resolved.callback)
             return Invocation(call_id)
         if construct_type is not None:
-            address = self.heap.construct(construct_type, resolved.converted, signature)
+            address = self.heap.construct(construct_type, resolved.converted, resolved.signature)
             return Invocation(None, self.factory.proxy_for(self.heap, address))
-        assert signature is not None
-        outcome = self.heap.exec_body(self_addr, signature, resolved.converted)
+        outcome = self.heap.exec_body(self_addr, resolved.signature, resolved.converted)
         return Invocation(None, self.to_script(outcome))
 
     # -- member access (used by the script evaluator) ---------------------------------------
@@ -552,6 +541,7 @@ class Bridge:
 
     def loadlibrary(self, path: str) -> int:
         """Merge a plugin file and refresh the mirror; returns the new version."""
+        self.dispatcher.check_domain("loadlibrary")
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -564,6 +554,7 @@ class Bridge:
 
     def evalmacro(self, text: str) -> Any:
         """Evaluate macro text, resync the mirror, convert the macro's value."""
+        self.dispatcher.check_domain("evalmacro")
         try:
             result = eval_macro(self.registry, self.heap, text)
         finally:

@@ -55,10 +55,12 @@ def report_fault(diag: TextIO, call_id: int, exc: Exception) -> None:
 class CallTask:
     """One unit of asynchronous work.
 
-    Either `construct_type` is set (worker constructs an instance with the
-    resolved constructor signature, or default-initializes when it is None)
-    or `signature` alone is set (worker executes the body against `target`,
-    which is the canonical self address or None for static/free calls).
+    Either `construct_type` is set (worker constructs an instance and runs
+    `signature` as its constructor; the bridge passes an empty signature
+    for a type without constructors, and None lets `Heap.construct` pick
+    an exact match) or `signature` alone is set (worker executes the body
+    against `target`, which is the canonical self address or None for
+    static/free calls).
     """
 
     target: int | None = None
@@ -152,7 +154,8 @@ class Dispatcher:
 
     # -- interpreter-domain pump -----------------------------------------------
 
-    def _check_domain(self, what: str) -> None:
+    def check_domain(self, what: str) -> None:
+        """Raise DomainError unless called on the thread that created the engine."""
         if threading.get_ident() != self._home_thread:
             raise DomainError(f"{what} must run on the interpreter domain")
 
@@ -164,7 +167,7 @@ class Dispatcher:
         conversion) go to the error sink. The pump never raises for a
         misbehaving callback.
         """
-        self._check_domain("process_events")
+        self.check_domain("process_events")
         delivered = 0
         while max_events is None or delivered < max_events:
             try:
@@ -180,7 +183,7 @@ class Dispatcher:
         Between pumps it blocks on the completion queue for the time that
         is left, so a completion is delivered as soon as it is posted.
         """
-        self._check_domain("drain")
+        self.check_domain("drain")
         deadline = time.monotonic() + timeout_ms / 1000.0
         while True:
             self.process_events()

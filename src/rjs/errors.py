@@ -129,3 +129,7 @@ class ScriptNameError(RjsError):
 
 class ScriptTypeError(RjsError):
     pass
+
+
+class ScriptRecursionError(RjsError):
+    """Script calls nested deeper than the Python stack allows."""

@@ -268,7 +268,8 @@ class Heap:
 
         This is the body's one fault boundary: any other RjsError raised
         while it runs (a dangling handle, an unknown type, a kind mismatch)
-        surfaces as a HostExecError with the same message.
+        surfaces as a HostExecError with the same message, and so does
+        running out of stack (a constructor that `new`s its own type).
         """
         try:
             for stmt in statements:
@@ -292,6 +293,8 @@ class Heap:
             raise
         except RjsError as exc:
             raise HostExecError(str(exc)) from exc
+        except RecursionError:
+            raise HostExecError("stack exhausted while running a host body") from None
         return None
 
     def _type_of(self, canonical: int) -> str:

@@ -330,17 +330,21 @@ class NamespaceNode:
     functions: dict[str, OverloadSet] = field(default_factory=dict)
     globals: dict[str, GlobalDecl] = field(default_factory=dict)
 
-    def categories_holding(self, name: str) -> list[str]:
-        held = []
-        if name in self.namespaces:
-            held.append("namespace")
-        if name in self.types:
-            held.append("type")
-        if name in self.functions:
-            held.append("function")
-        if name in self.globals:
-            held.append("global")
-        return held
+
+#: registry category -> the child map that holds it, in a NamespaceNode
+#: and in the bridge's mirror of one
+CHILD_MAPS = {"namespace": "namespaces", "type": "types", "function": "functions", "global": "globals"}
+
+
+def category(entry: object) -> str:
+    """The registry category of a namespace node, type, function set or global."""
+    if isinstance(entry, NamespaceNode):
+        return "namespace"
+    if isinstance(entry, HostTypeDescriptor):
+        return "type"
+    if isinstance(entry, OverloadSet):
+        return "function"
+    return "global"
 
 
 @dataclass
@@ -421,17 +425,19 @@ class Registry:
     """All introspection metadata: the namespace tree plus enum tables.
 
     `version` increases by exactly one on every successful mutation
-    (plugin merge, macro evaluation) and never otherwise. `journal` is
-    append-only: it gets one `(category, qualified)` entry for every new
-    namespace, type, function set or global, in the order they were
-    added; names are never removed, so the journal lists every name and
-    the bridge mirrors it from a cursor. `busy_check`, when set, returns
-    the number of in-flight asynchronous calls and gates mutations (the
-    quiescence rule).
+    (plugin merge, macro evaluation) and never otherwise. `entries` maps
+    every qualified name to its namespace node, type, function set or
+    global (`""` to `root`), and `journal` gets one `(category, qualified)`
+    entry per name in the order they were added. `declare` is the only
+    writer of both and of the nodes' child maps; names are never removed,
+    so the journal lists every name and the bridge mirrors it from a
+    cursor. `busy_check`, when set, returns the number of in-flight
+    asynchronous calls and gates mutations (the quiescence rule).
     """
 
     def __init__(self) -> None:
         self.root = NamespaceNode("")
+        self.entries: dict[str, object] = {"": self.root}
         self.enums: dict[str, dict[str, int]] = {}
         self.version = 0
         self.journal: list[tuple[str, str]] = []
@@ -441,27 +447,21 @@ class Registry:
     # -- lookup / enumeration ------------------------------------------------
 
     def lookup(self, path: str):
-        """Resolve a dot-separated path from the root.
+        """Resolve a dot-separated qualified name.
 
         Returns a NamespaceNode, HostTypeDescriptor, OverloadSet or
-        GlobalDecl. Raises NotFound carrying the longest resolvable prefix.
+        GlobalDecl. Raises NotFound carrying the longest prefix that names
+        a namespace.
         """
-        parts = split_path(path)
-        node = self.root
-        for i, part in enumerate(parts):
-            last = i == len(parts) - 1
-            if part in node.namespaces:
-                node = node.namespaces[part]
-                continue
-            if last:
-                if part in node.types:
-                    return node.types[part]
-                if part in node.functions:
-                    return node.functions[part]
-                if part in node.globals:
-                    return node.globals[part]
-            raise NotFound(path, ".".join(parts[:i]))
-        return node
+        found = self.entries.get(path)
+        if found is None:
+            prefix = path
+            while prefix:
+                prefix = prefix.rpartition(".")[0]
+                if isinstance(self.entries.get(prefix), NamespaceNode):
+                    break
+            raise NotFound(path, prefix)
+        return found
 
     def enumerate(self, path: str) -> Listing:
         found = self.lookup(path)
@@ -552,29 +552,43 @@ class Registry:
 
     # -- mutation support (used by registry.merge and the macro executor) -----
 
-    def ensure_namespace(self, path: str) -> NamespaceNode:
-        node = self.root
+    def declare(self, category: str, qualified: str, entry: object) -> None:
+        """Add a new name: link it into its parent namespace, index it, journal it.
+
+        The caller has checked that the name is free and its parent is a
+        namespace.
+        """
+        parent, _, name = qualified.rpartition(".")
+        getattr(self.entries[parent], CHILD_MAPS[category])[name] = entry
+        self.entries[qualified] = entry
+        self.journal.append((category, qualified))
+
+    def check_namespace_path(self, path: str) -> None:
+        """Raise ConflictError if a prefix of `path` names something else."""
         walked = ""
         for part in split_path(path):
             walked = join_path(walked, part)
-            if part not in node.namespaces:
-                held = [c for c in node.categories_holding(part) if c != "namespace"]
-                if held:
-                    raise ConflictError(f"{walked!r} already declared as a {held[0]}")
-                node.namespaces[part] = NamespaceNode(part)
-                self.journal.append(("namespace", walked))
-            node = node.namespaces[part]
-        return node
+            existing = self.entries.get(walked)
+            if existing is None:
+                return  # the rest of the path is new
+            if not isinstance(existing, NamespaceNode):
+                raise ConflictError(f"{walked!r} already declared as a {category(existing)}")
+
+    def ensure_namespace(self, path: str) -> None:
+        self.check_namespace_path(path)
+        walked = ""
+        for part in split_path(path):
+            walked = join_path(walked, part)
+            if walked not in self.entries:
+                self.declare("namespace", walked, NamespaceNode(part))
 
     def declare_global(self, qualified: str, kind: ValueKind, initial: HostValue) -> GlobalDecl:
         """Macro support: register a global without bumping the version."""
-        parts = split_path(qualified)
-        node = self.namespace_at(".".join(parts[:-1]))
-        name = parts[-1]
-        held = node.categories_holding(name)
-        if held:
-            raise ConflictError(f"{qualified!r} already declared as a {held[0]}")
+        namespace, _, name = qualified.rpartition(".")
+        self.namespace_at(namespace)  # raises NotFound or NotANamespace
+        existing = self.entries.get(qualified)
+        if existing is not None:
+            raise ConflictError(f"{qualified!r} already declared as a {category(existing)}")
         decl = GlobalDecl(name, qualified, kind, initial)
-        node.globals[name] = decl
-        self.journal.append(("global", qualified))
+        self.declare("global", qualified, decl)
         return decl

@@ -41,10 +41,8 @@ from .model import (
     GlobalDecl,
     HostTypeDescriptor,
     HostValue,
-    K_VOID,
     MethodSignature,
     New,
-    NamespaceNode,
     OverloadSet,
     Param,
     Registry,
@@ -57,6 +55,7 @@ from .model import (
     VOID,
     ValueKind,
     boolean,
+    category,
     cstr,
     enumval,
     f64,
@@ -374,33 +373,31 @@ def _parse_signature(raw: dict, what: str, instance_ok: bool) -> tuple[str, Meth
         raise ValidationError(f"{what}: 'static' must be a boolean")
     if not instance_ok:
         is_static = True  # free functions always execute without a receiver
-    params_raw = raw.get("params", [])
-    if not isinstance(params_raw, list):
-        raise ValidationError(f"{what}: params must be a list")
-    params = tuple(
-        parse_kind(p, f"{what} parameter {i}") for i, p in enumerate(params_raw)
-    )
-    returns = parse_kind(raw.get("returns", "void"), f"{what} return", allow_void=True)
-    body_raw = raw.get("body", [])
-    if not isinstance(body_raw, list):
-        raise ValidationError(f"{what}: body must be a list of statements")
-    ctx = _BodyCtx(len(params), allow_self=instance_ok and not is_static, what=what)
-    body = tuple(parse_stmt(s, ctx) for s in body_raw)
-    return name, MethodSignature(params, returns, is_static, body)
+    return name, _parse_callable(raw, what, is_static)
 
 
 def _parse_ctor(raw: dict, what: str) -> MethodSignature:
     _require_keys(raw, {"params", "body"}, set(), what)
+    return _parse_callable(raw, what, is_static=False)
+
+
+def _parse_callable(raw: dict, what: str, is_static: bool) -> MethodSignature:
+    """Params, return kind and body of a method, function or constructor entry.
+
+    Only a non-static body may use `self`; a constructor has no
+    'returns' key, so it returns void.
+    """
     params_raw = raw.get("params", [])
     if not isinstance(params_raw, list):
         raise ValidationError(f"{what}: params must be a list")
     params = tuple(parse_kind(p, f"{what} parameter {i}") for i, p in enumerate(params_raw))
+    returns = parse_kind(raw.get("returns", "void"), f"{what} return", allow_void=True)
     body_raw = raw.get("body", [])
     if not isinstance(body_raw, list):
         raise ValidationError(f"{what}: body must be a list of statements")
-    ctx = _BodyCtx(len(params), allow_self=True, what=what)
+    ctx = _BodyCtx(len(params), allow_self=not is_static, what=what)
     body = tuple(parse_stmt(s, ctx) for s in body_raw)
-    return MethodSignature(params, K_VOID, False, body)
+    return MethodSignature(params, returns, is_static, body)
 
 
 def _normalize_initial(kind: ValueKind, raw: object, present: bool, what: str) -> object:
@@ -771,11 +768,9 @@ class _MergePlan:
     namespaces: list[str]
     enums: dict[str, dict[str, int]]
     new_types: list[HostTypeDescriptor]
-    type_homes: dict[str, str]  # qualified -> namespace path
-    extensions: list[tuple[str, list[MethodSpec]]]  # existing qualified -> new methods
-    functions: list[tuple[str, str, MethodSignature]]  # (namespace, name, signature)
+    extensions: list[tuple[HostTypeDescriptor, tuple[MethodSpec, ...]]]  # existing type, new methods
+    functions: list[FunctionSpec]
     globals: list[GlobalDecl]
-    global_homes: dict[str, str]
 
 
 def _check_quiescent(registry: Registry) -> None:
@@ -831,22 +826,21 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
         if spec.namespace and spec.namespace not in namespace_paths:
             namespace_paths.append(spec.namespace)
     for path in namespace_paths:
-        _check_namespace_path(registry, path)
+        registry.check_namespace_path(path)
 
     # types: split into fresh declarations and method-only extensions
     new_types: list[HostTypeDescriptor] = []
-    type_homes: dict[str, str] = {}
-    extensions: list[tuple[str, list[MethodSpec]]] = []
+    extensions: list[tuple[HostTypeDescriptor, tuple[MethodSpec, ...]]] = []
     for t in ast.types:
-        existing = _existing_entry(registry, t.namespace, t.name)
+        existing = registry.entries.get(t.qualified)
         if isinstance(existing, HostTypeDescriptor):
             if not t.is_extension:
                 raise ConflictError(f"type {t.qualified!r} already declared")
             _check_extension(existing, t)
-            extensions.append((t.qualified, list(t.methods)))
+            extensions.append((existing, t.methods))
             continue
         if existing is not None:
-            raise ConflictError(f"{t.qualified!r} already declared as a {_category(existing)}")
+            raise ConflictError(f"{t.qualified!r} already declared as a {category(existing)}")
         _check_kind_references(t, enums_overlay)
         desc = HostTypeDescriptor(
             qualified_name=t.qualified,
@@ -864,20 +858,19 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
             constructors=OverloadSet("(ctor)", list(t.ctors)),
         )
         new_types.append(desc)
-        type_homes[t.qualified] = t.namespace
 
     # the walk checks bases and field shadowing; the layout itself is not kept
     new_by_name = {d.qualified_name: d for d in new_types}
     for desc in new_types:
         walk_layout(desc, lambda name: new_by_name.get(name) or registry.find_type(name))
 
-    functions: list[tuple[str, str, MethodSignature]] = []
+    functions: list[FunctionSpec] = []
     for fn in ast.functions:
-        existing = _existing_entry(registry, fn.namespace, fn.name)
+        existing = registry.entries.get(fn.qualified)
         if existing is not None and not isinstance(existing, OverloadSet):
-            raise ConflictError(f"{fn.qualified!r} already declared as a {_category(existing)}")
+            raise ConflictError(f"{fn.qualified!r} already declared as a {category(existing)}")
         if isinstance(existing, OverloadSet):
-            planned = [s for (ns, n, s) in functions if (ns, n) == (fn.namespace, fn.name)]
+            planned = [p.signature for p in functions if p.qualified == fn.qualified]
             for sig in (*existing.signatures, *planned):
                 if _sig_key(sig) == _sig_key(fn.signature):
                     raise ConflictError(
@@ -885,72 +878,26 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
                         f"indistinguishable from an existing overload"
                     )
         _check_signature_enums(fn.signature, enums_overlay, f"function {fn.qualified}")
-        functions.append((fn.namespace, fn.name, fn.signature))
+        functions.append(fn)
 
     globals_: list[GlobalDecl] = []
-    global_homes: dict[str, str] = {}
     for g in ast.globals:
-        existing = _existing_entry(registry, g.namespace, g.name)
+        existing = registry.entries.get(g.qualified)
         if existing is not None:
-            raise ConflictError(f"{g.qualified!r} already declared as a {_category(existing)}")
+            raise ConflictError(f"{g.qualified!r} already declared as a {category(existing)}")
         if g.kind.tag == TAG_ENUM and (g.kind.name or "") not in enums_overlay:
             raise ValidationError(f"global {g.qualified}: unknown enum {g.kind.name!r}")
         initial = _resolve_initial(g.kind, g.initial_raw, enums_overlay, f"global {g.qualified}")
         globals_.append(GlobalDecl(g.name, g.qualified, g.kind, initial))
-        global_homes[g.qualified] = g.namespace
 
     return _MergePlan(
         namespaces=namespace_paths,
         enums=ast.enums,
         new_types=new_types,
-        type_homes=type_homes,
         extensions=extensions,
         functions=functions,
         globals=globals_,
-        global_homes=global_homes,
     )
-
-
-def _check_namespace_path(registry: Registry, path: str) -> None:
-    node = registry.root
-    walked = ""
-    for part in split_path(path):
-        walked = join_path(walked, part)
-        if part in node.namespaces:
-            node = node.namespaces[part]
-            continue
-        held = node.categories_holding(part)
-        if held:
-            raise ConflictError(f"{walked!r} already declared as a {held[0]}")
-        return  # rest of the path is new; nothing left to collide with
-    return
-
-
-def _existing_entry(registry: Registry, namespace: str, name: str):
-    node = registry.root
-    for part in split_path(namespace):
-        node = node.namespaces.get(part)
-        if node is None:
-            return None  # namespace is created by this merge; nothing to collide with
-    if name in node.namespaces:
-        return node.namespaces[name]
-    if name in node.types:
-        return node.types[name]
-    if name in node.functions:
-        return node.functions[name]
-    if name in node.globals:
-        return node.globals[name]
-    return None
-
-
-def _category(entry: object) -> str:
-    if isinstance(entry, NamespaceNode):
-        return "namespace"
-    if isinstance(entry, HostTypeDescriptor):
-        return "type"
-    if isinstance(entry, OverloadSet):
-        return "function"
-    return "global"
 
 
 def _check_extension(existing: HostTypeDescriptor, spec: TypeSpec) -> None:
@@ -997,23 +944,17 @@ def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> Non
     for path in plan.namespaces:
         registry.ensure_namespace(path)
     for desc in plan.new_types:
-        node = registry.namespace_at(plan.type_homes[desc.qualified_name])
-        node.types[desc.qualified_name.rsplit(".", 1)[-1]] = desc
-        registry.journal.append(("type", desc.qualified_name))
-    for qualified, methods in plan.extensions:
-        desc = registry.find_type(qualified)
-        assert desc is not None
+        registry.declare("type", desc.qualified_name, desc)
+    for desc, methods in plan.extensions:
         for m in methods:
             desc.methods.setdefault(m.name, OverloadSet(m.name)).signatures.append(m.signature)
-    for namespace, name, sig in plan.functions:
-        node = registry.namespace_at(namespace)
-        if name not in node.functions:  # a further overload is not a new name
-            node.functions[name] = OverloadSet(name)
-            registry.journal.append(("function", join_path(namespace, name)))
-        node.functions[name].signatures.append(sig)
+    for fn in plan.functions:
+        overloads = registry.entries.get(fn.qualified)
+        if overloads is None:  # only the first overload adds a name
+            overloads = OverloadSet(fn.name)
+            registry.declare("function", fn.qualified, overloads)
+        overloads.signatures.append(fn.signature)  # type: ignore[union-attr]
     for decl in plan.globals:
-        node = registry.namespace_at(plan.global_homes[decl.qualified])
-        node.globals[decl.name] = decl
-        registry.journal.append(("global", decl.qualified))
+        registry.declare("global", decl.qualified, decl)
         if heap is not None:
             heap.globals[decl.qualified] = decl.initial

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple, TextIO
 
 from .bridge import Bridge, BoundBuiltin, FnRef, Invocation, MethodRef, NsRef, Proxy, TypeRef, weak_method
-from .errors import LexError, ParseError, ScriptNameError, ScriptTypeError
+from .errors import LexError, ParseError, ScriptNameError, ScriptRecursionError, ScriptTypeError
 from .model import format_number
 
 KEYWORDS = ("let", "fn", "true", "false", "null")
@@ -441,10 +441,14 @@ class Interpreter:
     # -- program / statement evaluation ------------------------------------------
 
     def run(self, program: tuple[SStmt, ...], env: Environment | None = None) -> Any:
+        """Run a program; a call chain deeper than the stack is a ScriptRecursionError."""
         env = env or Environment(self.globals)
         result: Any = None
-        for stmt in program:
-            result = self.exec_stmt(stmt, env)
+        try:
+            for stmt in program:
+                result = self.exec_stmt(stmt, env)
+        except RecursionError:
+            raise ScriptRecursionError("script calls nested too deep") from None
         return result
 
     def exec_stmt(self, stmt: SStmt, env: Environment) -> Any:

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import random
+import threading
 import time
 import weakref
 
@@ -18,6 +19,7 @@ from rjs.errors import (
     Ambiguous,
     ConversionError,
     DanglingHandle,
+    DomainError,
     LoadError,
     NoMatch,
     NotQuiescent,
@@ -446,6 +448,19 @@ def test_async_construction(bridge, sample_plugin):
     assert bridge.get_member(got[0], "x") == 3.0
 
 
+def test_async_default_construction_sets_field_initials(bridge):
+    load(bridge, json.dumps({"types": [{"name": "T", "fields": [
+        {"name": "x", "kind": "f64", "initial": 1.5},
+        {"name": "s", "kind": "cstr", "initial": "hi"}]}]}))
+    got: list = []
+    result = bridge.invoke(TypeRef("T"), [got.append])
+    assert result.pending
+    assert bridge.dispatcher.drain(2000)
+    assert len(got) == 1 and isinstance(got[0], Proxy) and got[0].type_name == "T"
+    assert bridge.heap.objects[got[0].canonical].storage == {"x": f64(1.5), "s": cstr("hi")}
+    assert bridge.async_faults == []
+
+
 # -- member access ---------------------------------------------------------------------
 
 
@@ -514,6 +529,31 @@ def test_loadlibrary_not_quiescent_during_sleep(bridge, math_plugin):
         bridge.loadlibrary(str(math_plugin))
     assert bridge.dispatcher.drain(2000)
     assert bridge.loadlibrary(str(math_plugin)) >= 2
+
+
+def test_registry_entry_points_rejected_off_the_interpreter_thread(bridge, math_plugin):
+    calls = {
+        "loadlibrary": lambda: bridge.loadlibrary(str(math_plugin)),
+        "evalmacro": lambda: bridge.evalmacro('{"globals": [{"name": "g", "kind": "i64"}]}'),
+        "invoke": lambda: bridge.invoke(FnRef("ROOT.Math.Pi"), []),
+    }
+    failures: dict[str, Exception] = {}
+
+    def elsewhere():
+        for name, call in calls.items():
+            try:
+                call()
+            except Exception as exc:
+                failures[name] = exc
+
+    worker = threading.Thread(target=elsewhere)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert {name: type(exc) for name, exc in failures.items()} == dict.fromkeys(calls, DomainError)
+    assert all(name in str(exc) for name, exc in failures.items())
+    assert bridge.registry.version == 0 and bridge.registry.journal == []
+    assert bridge.loadlibrary(str(math_plugin)) == 1  # the interpreter thread still may
 
 
 # -- lifetime ----------------------------------------------------------------------------

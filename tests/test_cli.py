@@ -5,8 +5,16 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
 
 from rjs.cli import cmd_inspect, cmd_repl, cmd_run, main
+
+
+LOOP_PLUGIN = json.dumps({"types": [{
+    "name": "Loop",
+    "fields": [{"name": "n", "kind": "i64"}],
+    "ctors": [{"params": [], "body": [{"op": "new", "type": "Loop", "args": []}]}],
+}]})
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -69,6 +77,20 @@ def test_run_missing_script_exits_1(tmp_path):
     diag = io.StringIO()
     assert cmd_run(str(tmp_path / "nope.rjs"), [], out=io.StringIO(), diag=diag) == 1
     assert "cannot read script" in diag.getvalue()
+
+
+@pytest.mark.parametrize("source, plugins, error", [
+    ("let f = fn() { f(); };\nf();\n", {}, "ScriptRecursionError: script calls nested too deep"),
+    ("let l = root.Loop();\n", {"loop.plugin": LOOP_PLUGIN},
+     "HostExecError: stack exhausted while running a host body"),
+])
+def test_run_runaway_recursion_exits_1_with_one_line(tmp_path, source, plugins, error):
+    paths = [write(tmp_path, name, text) for name, text in plugins.items()]
+    script = write(tmp_path, "s.rjs", source)
+    out, diag = io.StringIO(), io.StringIO()
+    assert cmd_run(script, paths, out=out, diag=diag) == 1
+    assert diag.getvalue() == error + "\n"
+    assert out.getvalue() == ""
 
 
 def test_run_drain_timeout_exits_2(tmp_path):

@@ -489,9 +489,32 @@ def test_new_expression_constructs(world):
     assert heap.read_field(out.value, "x") == f64(3.0)
 
 
-def test_ctor_failing_with_non_rjs_error_leaves_no_object(world):
+def test_ctor_failing_with_non_rjs_error_leaves_no_object(world, monkeypatch):
     registry, heap = world
-    # a constructor body that builds its own type recurses until Python gives up
+    merge(registry, parse_manifest(json.dumps({"types": [{
+        "name": "Interrupted",
+        "fields": [{"name": "n", "kind": "i64"}],
+        "ctors": [{"params": [], "body": [
+            {"op": "set", "field": "n", "value": {"op": "const", "value": 1}},
+            {"op": "builtin", "name": "sleep_ms", "args": [{"op": "const", "value": 0}]}]}],
+    }]})), heap)
+    keep = heap.construct("Bare")
+    heap.make_alias(keep)
+    objects, aliases = dict(heap.objects), dict(heap.aliases)
+
+    def interrupted(seconds: float) -> None:
+        raise KeyboardInterrupt  # not an RjsError: it passes the body's fault boundary
+
+    monkeypatch.setattr(time, "sleep", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        heap.construct("Interrupted")
+    assert heap.objects == objects
+    assert heap.aliases == aliases
+
+
+def test_ctor_recursing_past_the_stack_is_a_host_fault_and_leaves_no_object(world):
+    registry, heap = world
+    # a constructor body that builds its own type recurses until the stack runs out
     merge(registry, parse_manifest(json.dumps({"types": [{
         "name": "Loop",
         "fields": [{"name": "n", "kind": "i64"}],
@@ -500,7 +523,7 @@ def test_ctor_failing_with_non_rjs_error_leaves_no_object(world):
     keep = heap.construct("Bare")
     heap.make_alias(keep)
     objects, aliases = dict(heap.objects), dict(heap.aliases)
-    with pytest.raises(RecursionError):
+    with pytest.raises(HostExecError, match="stack exhausted while running a host body"):
         heap.construct("Loop")
     assert heap.objects == objects
     assert heap.aliases == aliases

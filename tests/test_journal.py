@@ -2,8 +2,9 @@
 
 Random sequences of merges and macros are applied to one registry. After
 each step the incrementally refreshed mirror must equal a tree rebuilt
-from `Registry.enumerate`, and the memoised inheritance answers must
-agree with walks over the test's own record of what was declared.
+from `Registry.enumerate`, the memoised inheritance answers must agree
+with walks over the test's own record of what was declared, and the
+qualified-name index must agree with a walk of the namespace tree.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pytest
 import support
 from rjs import Heap, Registry
 from rjs.bridge import PropertyNode, build_root, refresh
+from rjs.errors import NotFound
 from rjs.model import K_I64, FieldDecl, i64
 from rjs.registry import eval_macro, merge, parse_manifest
 
@@ -217,6 +220,43 @@ def check_layouts(world: World) -> None:
             assert registry.field_decl(dynamic, name) == expected
 
 
+def walk_tree(registry: Registry) -> dict[str, object]:
+    """Every qualified name under `registry.root`, found by following child maps."""
+    reached: dict[str, object] = {"": registry.root}
+    frontier = [("", registry.root)]
+    while frontier:
+        path, node = frontier.pop()
+        for children in (node.namespaces, node.types, node.functions, node.globals):
+            for name, child in children.items():
+                reached[_join(path, name)] = child
+        frontier.extend((_join(path, name), child) for name, child in node.namespaces.items())
+    return reached
+
+
+def walked_prefix(registry: Registry, path: str) -> str:
+    """The longest leading run of `path` that names nested namespaces."""
+    node, walked = registry.root, []
+    for part in path.split("."):
+        if part not in node.namespaces:
+            break
+        node = node.namespaces[part]
+        walked.append(part)
+    return ".".join(walked)
+
+
+def check_index(world: World) -> None:
+    registry = world.registry
+    reached = walk_tree(registry)
+    for path, node in reached.items():
+        assert registry.lookup(path) is node
+    assert set(registry.entries) == set(reached)
+    for path in reached:
+        for absent in (_join(path, "Absent"), _join(path, "Absent.Deeper"), path + "."):
+            with pytest.raises(NotFound) as caught:
+                registry.lookup(absent)
+            assert caught.value.prefix == walked_prefix(registry, absent)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_incremental_mirror_and_layouts_track_random_sequences(data):
@@ -233,6 +273,7 @@ def test_incremental_mirror_and_layouts_track_random_sequences(data):
         apply(world, manifest, as_macro)
         check_mirror(world, added)
         check_layouts(world)
+        check_index(world)
 
 
 def test_extension_of_memoised_base_is_seen_and_hidden_by_nearest():

@@ -43,6 +43,23 @@ def test_errors_render_and_session_survives(session):
     assert "ParseError" in text
 
 
+def test_runaway_recursion_renders_and_session_survives(session, bridge):
+    repl, _ = session
+    merge(bridge.registry, parse_manifest(json.dumps({"types": [{
+        "name": "Loop",
+        "ctors": [{"params": [], "body": [{"op": "new", "type": "Loop", "args": []}]}],
+    }]})), bridge.heap)
+    bridge.refresh()
+    assert repl.step("let f = fn() { f(); };") == ""
+    assert repl.step("f();") == "error: ScriptRecursionError: script calls nested too deep\n"
+    assert repl.step("2+2") == "4\n"
+    objects = dict(bridge.heap.objects)
+    text = repl.step("root.Loop();")
+    assert text == "error: HostExecError: stack exhausted while running a host body\n"
+    assert bridge.heap.objects == objects
+    assert repl.active and repl.step("2+3") == "5\n"
+
+
 def test_async_callback_appears_after_explicit_pump(session, sample_plugin):
     repl, _ = session
     repl.step(f'root.loadlibrary("{sample_plugin}");')
