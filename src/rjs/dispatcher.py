@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
 
-from .errors import DomainError, EngineStopped
+from .errors import DomainError, EngineStopped, ScriptRecursionError
 from .heap import Heap
 from .model import HostValue, MethodSignature, ref
 
@@ -213,6 +213,8 @@ class Dispatcher:
         else:
             try:
                 callback(self._converter(completion.outcome))
+            except RecursionError:  # a callback that recursed past the stack
+                self._route_error(completion.call_id, ScriptRecursionError())
             except Exception as exc:
                 self._route_error(completion.call_id, exc)
         return 1
@@ -236,7 +238,3 @@ class Dispatcher:
             self._tasks.put(None)
         for t in self._threads:
             t.join()
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped

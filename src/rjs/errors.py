@@ -133,3 +133,6 @@ class ScriptTypeError(RjsError):
 
 class ScriptRecursionError(RjsError):
     """Script calls nested deeper than the Python stack allows."""
+
+    def __init__(self, message: str = "script calls nested too deep"):
+        super().__init__(message)

@@ -129,23 +129,28 @@ class Heap:
             storage = {name: decl.initial for name, decl in layout.fields.items()}
             self.objects[address] = HostObject(address, type_name, storage)
             self.aliases[address] = address
-        if signature is None:
-            if desc.constructors.signatures:
-                signature = self._match_exact(desc.constructors.signatures, args)
-                if signature is None:
-                    self.destroy(address)
-                    raise HostExecError(
-                        f"no constructor of {type_name!r} matches ({self._kinds_of(args)})"
-                    )
-            elif args:
-                self.destroy(address)
-                raise HostExecError(f"{type_name!r} has no constructors taking arguments")
-        if signature is not None and signature.body:
-            try:
+        try:
+            if signature is None:
+                if desc.constructors.signatures:
+                    signature = self._match_exact(desc.constructors.signatures, args)
+                    if signature is None:
+                        raise HostExecError(
+                            f"no constructor of {type_name!r} matches ({self._kinds_of(args)})"
+                        )
+                elif args:
+                    raise HostExecError(f"{type_name!r} has no constructors taking arguments")
+            if signature is not None and signature.body:
                 self.exec_body(address, signature, args)
-            except BaseException:  # no half-built object outlives any failure
-                self.destroy(address)
-                raise
+        except BaseException:  # no half-built object outlives any failure
+            # Inline rather than `destroy`: the failure may be a stack that ran
+            # out one call below this frame, so the cleanup makes only direct
+            # calls, which fit wherever the failed call did.
+            with self._lock:
+                self.objects.pop(address, None)
+                for alias, canonical in list(self.aliases.items()):
+                    if canonical == address:
+                        del self.aliases[alias]
+            raise
         return address
 
     def destroy(self, handle: int) -> None:

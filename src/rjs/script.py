@@ -20,7 +20,7 @@ from .bridge import Bridge, BoundBuiltin, FnRef, Invocation, MethodRef, NsRef, P
 from .errors import LexError, ParseError, ScriptNameError, ScriptRecursionError, ScriptTypeError
 from .model import format_number
 
-KEYWORDS = ("let", "fn", "true", "false", "null")
+KEYWORDS = frozenset(("let", "fn", "true", "false", "null"))
 
 
 # ---------------------------------------------------------------------------
@@ -38,35 +38,41 @@ class Token(NamedTuple):
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)")
 _STRING_BODY = re.compile(r'(?:[^"\\\n]|\\[ntr"\\])*')
-# One alternative per token class, tried in order; `bad` catches any other
-# character, including a quote that does not open a well-formed string.
+# Every match is one token or one newline. The atomic group eats the blanks
+# and the comment in front, so a comment never backtracks into `/` tokens;
+# `end` matches where only they remain and stops the scan before it could
+# restart inside a trailing comment; `bad` catches any other character,
+# including a quote that does not open a well-formed string.
 _TOKEN = re.compile(
-    r"(?P<skip>[ \t\r]+|//[^\n]*)|(?P<newline>\n)|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d*)?)"
-    r"|(?P<ident>[^\W\d]\w*)|(?P<str>\"" + _STRING_BODY.pattern + r"\")"
-    r"|(?P<punct>[.,;(){}=+\-*/%])|(?P<bad>.)")
+    r"(?>[ \t\r]*(?://[^\n]*)?)(?:(?P<punct>[.,;(){}=+\-*/%])|(?P<ident>[^\W\d]\w*)|(?P<newline>\n)"
+    r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d*)?)|(?P<str>\"" + _STRING_BODY.pattern + r"\")"
+    r"|(?P<end>\Z)|(?P<bad>.))")
 
 
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
+    append, new = tokens.append, tuple.__new__
     line, line_start = 1, 0
     for m in _TOKEN.finditer(src):
-        kind, text = m.lastgroup, m.group()
-        col = m.start() - line_start + 1
-        if kind == "skip":
+        kind = m.lastgroup
+        text = m[kind]
+        if kind == "punct":
+            append(new(Token, ("punct", text, text, line, m.end() - line_start)))
             continue
-        if kind == "newline":
+        col = m.start(kind) - line_start + 1
+        if kind == "ident" and (text[0].isalpha() or text[0] == "_"):
+            append(new(Token, ("kw" if text in KEYWORDS else "ident", text, text, line, col)))
+        elif kind == "newline":
             line, line_start = line + 1, m.end()
         elif kind == "num":
             if text[-1] in "eE+-":
                 raise LexError("malformed exponent", line, col)
-            tokens.append(Token("num", text, float(text), line, col))
-        elif kind == "ident" and (text[0].isalpha() or text[0] == "_"):
-            tokens.append(Token("kw" if text in KEYWORDS else "ident", text, text, line, col))
+            append(new(Token, ("num", text, float(text), line, col)))
         elif kind == "str":
             body = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
-            tokens.append(Token("str", body, body, line, col))
-        elif kind == "punct":
-            tokens.append(Token("punct", text, text, line, col))
+            append(new(Token, ("str", body, body, line, col)))
+        elif kind == "end":
+            break
         elif text == '"':  # the first bad escape before the line ends wins
             end = _STRING_BODY.match(src, m.end()).end()
             if src.startswith("\\", end) and end + 1 < len(src):
@@ -74,7 +80,7 @@ def tokenize(src: str) -> list[Token]:
             raise LexError("unterminated string", line, col)
         else:  # includes a non-letter that `\w` accepts as a word start, such as ²
             raise LexError(f"unexpected character {text[0]!r}", line, col)
-    tokens.append(Token("eof", "", None, line, len(src) - line_start + 1))
+    append(new(Token, ("eof", "", None, line, len(src) - line_start + 1)))
     return tokens
 
 
@@ -166,147 +172,145 @@ class SExprStmt:
 SStmt = Any
 
 
+# Binding power of each binary operator; every other token ends an operand chain.
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
+
+
 class Parser:
+    """Precedence climbing (Pratt) over the token list.
+
+    Token fields are read by index: 0 type, 1 text, 2 value, 3 line, 4 col.
+    The cursor never moves past the final `eof` token.
+    """
+
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
 
-    def _peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _next(self) -> Token:
+    def _fail(self, message: str) -> ParseError:
+        """An error at the current token."""
         tok = self._tokens[self._pos]
-        if tok.type != "eof":
-            self._pos += 1
-        return tok
-
-    def _fail(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self._peek()
-        return ParseError(message, tok.line, tok.col)
-
-    def _at(self, *texts: str) -> bool:
-        """Whether the next token is punctuation spelled as one of `texts`."""
-        tok = self._tokens[self._pos]
-        return tok.type == "punct" and tok.text in texts
+        return ParseError(message, tok[3], tok[4])
 
     def _expect(self, type_: str, text: str | None = None) -> Token:
-        tok = self._peek()
-        if tok.type != type_ or (text is not None and tok.text != text):
-            want = text or type_
-            raise self._fail(f"expected {want!r}, found {tok.text or tok.type!r}")
-        return self._next()
+        tok = self._tokens[self._pos]
+        if tok[0] != type_ or (text is not None and tok[1] != text):
+            raise self._fail(f"expected {text or type_!r}, found {tok[1] or tok[0]!r}")
+        self._pos += 1
+        return tok
+
+    def _at_punct(self, text: str) -> bool:
+        tok = self._tokens[self._pos]
+        return tok[1] == text and tok[0] == "punct"
 
     def parse_program(self) -> tuple[SStmt, ...]:
+        tokens = self._tokens
         statements: list[SStmt] = []
-        while self._peek().type != "eof":
+        while tokens[self._pos][0] != "eof":
             statements.append(self.parse_statement())
         return tuple(statements)
 
     def parse_statement(self) -> SStmt:
-        tok = self._peek()
-        if tok.type == "kw" and tok.text == "let":
-            self._next()
-            name = self._expect("ident")
+        tok = self._tokens[self._pos]
+        pos = (tok[3], tok[4])
+        if tok[1] == "let" and tok[0] == "kw":
+            self._pos += 1
+            name = self._expect("ident")[1]
             self._expect("punct", "=")
             value = self.parse_expr()
             self._expect("punct", ";")
-            return SLet(name.text, value, (tok.line, tok.col))
+            return SLet(name, value, pos)
         expr = self.parse_expr()
-        if self._at("="):
+        if self._at_punct("="):
             if not isinstance(expr, (SIdent, SMember)):
                 raise self._fail("only names and members can be assigned")
-            self._next()
+            self._pos += 1
             value = self.parse_expr()
             self._expect("punct", ";")
-            return SAssign(expr, value, (tok.line, tok.col))
+            return SAssign(expr, value, pos)
         self._expect("punct", ";")
-        return SExprStmt(expr, (tok.line, tok.col))
+        return SExprStmt(expr, pos)
 
-    def parse_expr(self) -> SExpr:
-        return self._additive()
-
-    def _additive(self) -> SExpr:
-        left = self._multiplicative()
-        while self._at("+", "-"):
-            op = self._next()
-            right = self._multiplicative()
-            left = SBin(op.text, left, right, (op.line, op.col))
-        return left
-
-    def _multiplicative(self) -> SExpr:
-        left = self._postfix()
-        while self._at("*", "/", "%"):
-            op = self._next()
-            right = self._postfix()
-            left = SBin(op.text, left, right, (op.line, op.col))
-        return left
-
-    def _postfix(self) -> SExpr:
-        expr = self._primary()
-        while self._at(".", "("):
-            tok = self._next()
-            if tok.text == ".":
-                name = self._expect("ident")
-                expr = SMember(expr, name.text, (name.line, name.col))
-                continue
-            args: list[SExpr] = []
-            if not self._at(")"):
-                args.append(self.parse_expr())
-                while self._at(","):
-                    self._next()
+    def parse_expr(self, min_power: int = 1) -> SExpr:
+        """An operand, its postfix `.name` and `(args)`, then binary operators
+        binding at least `min_power`; a right operand binds one level tighter,
+        so equal operators group to the left."""
+        tokens = self._tokens
+        tok = tokens[self._pos]
+        kind = tok[0]
+        if kind == "ident":
+            self._pos += 1
+            expr = SIdent(tok[1], (tok[3], tok[4]))
+        elif kind == "num":
+            self._pos += 1
+            expr = SNum(tok[2], (tok[3], tok[4]))
+        elif kind == "str":
+            self._pos += 1
+            expr = SStr(tok[2], (tok[3], tok[4]))
+        elif kind == "kw":
+            text = tok[1]
+            if text == "fn":
+                expr = self._function()
+            elif text == "true" or text == "false":
+                self._pos += 1
+                expr = SBool(text == "true", (tok[3], tok[4]))
+            elif text == "null":
+                self._pos += 1
+                expr = SNull((tok[3], tok[4]))
+            else:
+                raise self._fail(f"unexpected keyword {text!r}")
+        elif tok[1] == "(" and kind == "punct":
+            self._pos += 1
+            expr = self.parse_expr()
+            self._expect("punct", ")")
+        else:
+            raise self._fail(f"unexpected token {tok[1] or kind!r}")
+        while True:
+            tok = tokens[self._pos]
+            if tok[0] != "punct":
+                return expr
+            text = tok[1]
+            if text == "(":
+                self._pos += 1
+                args: list[SExpr] = []
+                if not self._at_punct(")"):
                     args.append(self.parse_expr())
-            self._expect("punct", ")")
-            expr = SCall(expr, tuple(args), (tok.line, tok.col))
-        return expr
+                    while self._at_punct(","):
+                        self._pos += 1
+                        args.append(self.parse_expr())
+                self._expect("punct", ")")
+                expr = SCall(expr, tuple(args), (tok[3], tok[4]))
+            elif text == ".":
+                self._pos += 1
+                name = self._expect("ident")
+                expr = SMember(expr, name[1], (name[3], name[4]))
+            else:
+                power = _BINARY.get(text, 0)
+                if power < min_power:
+                    return expr
+                self._pos += 1
+                expr = SBin(text, expr, self.parse_expr(power + 1), (tok[3], tok[4]))
 
-    def _primary(self) -> SExpr:
-        tok = self._peek()
-        if tok.type == "num":
-            self._next()
-            return SNum(tok.value, (tok.line, tok.col))
-        if tok.type == "str":
-            self._next()
-            return SStr(tok.value, (tok.line, tok.col))
-        if tok.type == "kw":
-            if tok.text in ("true", "false"):
-                self._next()
-                return SBool(tok.text == "true", (tok.line, tok.col))
-            if tok.text == "null":
-                self._next()
-                return SNull((tok.line, tok.col))
-            if tok.text == "fn":
-                return self._function()
-            raise self._fail(f"unexpected keyword {tok.text!r}")
-        if tok.type == "ident":
-            self._next()
-            return SIdent(tok.text, (tok.line, tok.col))
-        if self._at("("):
-            self._next()
-            inner = self.parse_expr()
-            self._expect("punct", ")")
-            return inner
-        raise self._fail(f"unexpected token {tok.text or tok.type!r}")
-
-    def _function(self) -> SExpr:
+    def _function(self) -> SFn:
         fn_tok = self._expect("kw", "fn")
         self._expect("punct", "(")
         params: list[str] = []
-        if self._peek().type == "ident":
-            params.append(self._next().text)
-            while self._at(","):
-                self._next()
-                params.append(self._expect("ident").text)
+        if self._tokens[self._pos][0] == "ident":
+            params.append(self._expect("ident")[1])
+            while self._at_punct(","):
+                self._pos += 1
+                params.append(self._expect("ident")[1])
         self._expect("punct", ")")
         self._expect("punct", "{")
         body: list[SStmt] = []
-        while not self._at("}"):
-            if self._peek().type == "eof":
+        while not self._at_punct("}"):
+            if self._tokens[self._pos][0] == "eof":
                 raise self._fail("unterminated function body")
             body.append(self.parse_statement())
-        self._expect("punct", "}")
+        self._pos += 1
         if len(set(params)) != len(params):
-            raise ParseError("duplicate parameter name", fn_tok.line, fn_tok.col)
-        return SFn(tuple(params), tuple(body), (fn_tok.line, fn_tok.col))
+            raise ParseError("duplicate parameter name", fn_tok[3], fn_tok[4])
+        return SFn(tuple(params), tuple(body), (fn_tok[3], fn_tok[4]))
 
 
 def parse(src: str) -> tuple[SStmt, ...]:
@@ -448,51 +452,58 @@ class Interpreter:
             for stmt in program:
                 result = self.exec_stmt(stmt, env)
         except RecursionError:
-            raise ScriptRecursionError("script calls nested too deep") from None
+            raise ScriptRecursionError() from None
         return result
 
     def exec_stmt(self, stmt: SStmt, env: Environment) -> Any:
-        match stmt:
-            case SLet(name, value):
-                env.define(name, self.eval(value, env))
-                return None
-            case SAssign(target, value):
-                assigned = self.eval(value, env)
-                if isinstance(target, SIdent):
-                    env.assign(target.name, assigned)
-                else:
-                    obj = self.eval(target.obj, env)
-                    self.bridge.set_member(obj, target.name, assigned)
-                return None
-            case SExprStmt(value):
-                return self.eval(value, env)
-            case _:
-                raise ScriptTypeError(f"unknown statement {stmt!r}")
+        handler = _EXEC.get(stmt.__class__)
+        if handler is None:
+            raise ScriptTypeError(f"unknown statement {stmt!r}")
+        return handler(self, stmt, env)
+
+    def _exec_let(self, stmt: SLet, env: Environment) -> None:
+        env.define(stmt.name, self.eval(stmt.value, env))
+
+    def _exec_assign(self, stmt: SAssign, env: Environment) -> None:
+        assigned = self.eval(stmt.value, env)
+        target = stmt.target
+        if isinstance(target, SIdent):
+            env.assign(target.name, assigned)
+        else:
+            self.bridge.set_member(self.eval(target.obj, env), target.name, assigned)
+
+    def _exec_expr(self, stmt: SExprStmt, env: Environment) -> Any:
+        return self.eval(stmt.value, env)
 
     # -- expression evaluation ------------------------------------------------------
 
     def eval(self, expr: SExpr, env: Environment) -> Any:
-        match expr:
-            case SNum(value):
-                return value
-            case SStr(value):
-                return value
-            case SBool(value):
-                return value
-            case SNull():
-                return None
-            case SIdent(name):
-                return env.get(name)
-            case SMember(obj, name):
-                return self.bridge.get_member(self.eval(obj, env), name)
-            case SBin(op, left, right):
-                return self._binary(op, self.eval(left, env), self.eval(right, env))
-            case SFn(params, body):
-                return Closure(params, body, env, self)
-            case SCall(fn, args):
-                return self._call(self.eval(fn, env), [self.eval(a, env) for a in args])
-            case _:
-                raise ScriptTypeError(f"unknown expression {expr!r}")
+        handler = _EVAL.get(expr.__class__)
+        if handler is None:
+            raise ScriptTypeError(f"unknown expression {expr!r}")
+        return handler(self, expr, env)
+
+    def _eval_literal(self, expr: SNum | SStr | SBool, env: Environment) -> Any:
+        return expr.value
+
+    def _eval_null(self, expr: SNull, env: Environment) -> None:
+        return None
+
+    def _eval_ident(self, expr: SIdent, env: Environment) -> Any:
+        return env.get(expr.name)
+
+    def _eval_member(self, expr: SMember, env: Environment) -> Any:
+        return self.bridge.get_member(self.eval(expr.obj, env), expr.name)
+
+    def _eval_bin(self, expr: SBin, env: Environment) -> Any:
+        return self._binary(expr.op, self.eval(expr.left, env), self.eval(expr.right, env))
+
+    def _eval_fn(self, expr: SFn, env: Environment) -> Closure:
+        return Closure(expr.params, expr.body, env, self)
+
+    def _eval_call(self, expr: SCall, env: Environment) -> Any:
+        callee = self.eval(expr.fn, env)
+        return self._call(callee, [self.eval(a, env) for a in expr.args])
 
     def _binary(self, op: str, left: Any, right: Any) -> Any:
         if isinstance(left, str) and isinstance(right, str) and op == "+":
@@ -547,6 +558,21 @@ class Interpreter:
         for stmt in closure.body:
             result = self.exec_stmt(stmt, env)
         return result
+
+
+# Handlers by node class, so dispatch costs one dict read per node.
+_EXEC = {SLet: Interpreter._exec_let, SAssign: Interpreter._exec_assign, SExprStmt: Interpreter._exec_expr}
+_EVAL = {
+    SNum: Interpreter._eval_literal,
+    SStr: Interpreter._eval_literal,
+    SBool: Interpreter._eval_literal,
+    SNull: Interpreter._eval_null,
+    SIdent: Interpreter._eval_ident,
+    SMember: Interpreter._eval_member,
+    SBin: Interpreter._eval_bin,
+    SFn: Interpreter._eval_fn,
+    SCall: Interpreter._eval_call,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from rjs.errors import (
     ConversionError,
     DanglingHandle,
     DomainError,
+    HostExecError,
     LoadError,
     NoMatch,
     NotQuiescent,
@@ -146,6 +147,26 @@ def test_thousand_aliases_ten_objects_ten_proxies(bridge):
     for canonical, group in groups.items():
         for handle in group:
             assert bridge.heap.normalize(handle) == canonical
+
+
+def test_self_constructing_ctor_leaves_no_object_at_any_stack_depth(bridge):
+    load(bridge, json.dumps({"types": [{
+        "name": "Loop",
+        "ctors": [{"params": [], "body": [{"op": "new", "type": "Loop", "args": []}]}],
+    }]}))
+    objects, aliases = dict(bridge.heap.objects), dict(bridge.heap.aliases)
+
+    def construct_below(frames: int) -> None:
+        if frames:
+            return construct_below(frames - 1)
+        with pytest.raises(HostExecError, match="stack exhausted"):
+            bridge.invoke(TypeRef("Loop"), [])
+
+    # the stack runs out at a different point of the cleanup for each start depth
+    for frames in range(120):
+        construct_below(frames)
+        assert bridge.heap.objects == objects, frames
+        assert bridge.heap.aliases == aliases, frames
 
 
 def test_proxy_for_dangling_handle(bridge):

@@ -15,6 +15,10 @@ LOOP_PLUGIN = json.dumps({"types": [{
     "fields": [{"name": "n", "kind": "i64"}],
     "ctors": [{"params": [], "body": [{"op": "new", "type": "Loop", "args": []}]}],
 }]})
+ECHO_PLUGIN = json.dumps({"functions": [{
+    "name": "Echo", "params": ["f64"], "returns": "f64",
+    "body": [{"op": "ret", "value": {"op": "param", "index": 0}}],
+}]})
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -83,6 +87,8 @@ def test_run_missing_script_exits_1(tmp_path):
     ("let f = fn() { f(); };\nf();\n", {}, "ScriptRecursionError: script calls nested too deep"),
     ("let l = root.Loop();\n", {"loop.plugin": LOOP_PLUGIN},
      "HostExecError: stack exhausted while running a host body"),
+    ("root.Echo(3, fn(v) { let g = fn() { g(); }; g(); });\n", {"echo.plugin": ECHO_PLUGIN},
+     "async call #1 failed: ScriptRecursionError: script calls nested too deep"),
 ])
 def test_run_runaway_recursion_exits_1_with_one_line(tmp_path, source, plugins, error):
     paths = [write(tmp_path, name, text) for name, text in plugins.items()]

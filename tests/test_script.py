@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import time
@@ -124,6 +125,34 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as excinfo:
         parse("let = 3;")
     assert excinfo.value.line == 1 and excinfo.value.col == 5
+
+
+def _preorder(node):
+    """(node class, pos) for `node` and then each child node, in field order."""
+    yield type(node).__name__, node.pos
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(child):
+                yield from _preorder(child)
+
+
+def test_every_node_kind_records_its_position():
+    program = parse(
+        'let f = fn(x, y) { x * (y - 1); };\n'
+        'f = f(2, "s") + true % null;\n'
+        '  root.T.n = f / root.T.Get();\n'
+    )
+    assert [entry for stmt in program for entry in _preorder(stmt)] == [
+        ("SLet", (1, 1)), ("SFn", (1, 9)), ("SExprStmt", (1, 20)), ("SBin", (1, 22)),
+        ("SIdent", (1, 20)), ("SBin", (1, 27)), ("SIdent", (1, 25)), ("SNum", (1, 29)),
+        ("SAssign", (2, 1)), ("SIdent", (2, 1)), ("SBin", (2, 15)), ("SCall", (2, 6)),
+        ("SIdent", (2, 5)), ("SNum", (2, 7)), ("SStr", (2, 10)), ("SBin", (2, 22)),
+        ("SBool", (2, 17)), ("SNull", (2, 24)),
+        ("SAssign", (3, 3)), ("SMember", (3, 10)), ("SMember", (3, 8)), ("SIdent", (3, 3)),
+        ("SBin", (3, 16)), ("SIdent", (3, 14)), ("SCall", (3, 28)), ("SMember", (3, 25)),
+        ("SMember", (3, 23)), ("SIdent", (3, 18)),
+    ]
 
 
 def test_missing_semicolon_rejected():
@@ -369,6 +398,25 @@ def test_callbacks_only_fire_during_pump(session):
     assert out.getvalue() == ""
     bridge.dispatcher.process_events()
     assert out.getvalue() == "1\n"
+
+
+def test_callback_recursing_past_the_stack_reaches_the_sink_as_a_script_error(session):
+    bridge, interp, out = session
+    merge(bridge.registry, parse_manifest(json.dumps({
+        "functions": [{"name": "Echo", "params": ["i64"], "returns": "i64",
+                       "body": [{"op": "ret", "value": {"op": "param", "index": 0}}]}]})),
+        bridge.heap)
+    bridge.refresh()
+    interp.run(parse("root.Echo(1, fn(v) { let g = fn() { g(); }; g(); });"))
+    deadline = time.monotonic() + 2
+    while bridge.dispatcher._completions.qsize() == 0 and time.monotonic() < deadline:
+        time.sleep(0.002)
+    interp.run(parse("print(pump());"))  # the callback runs under the script's pump()
+    assert out.getvalue() == "1\n"
+    assert [(call_id, type(exc).__name__, str(exc)) for call_id, exc in bridge.async_faults] == [
+        (1, "ScriptRecursionError", "script calls nested too deep")]
+    assert bridge.diag.getvalue() == (
+        "async call #1 failed: ScriptRecursionError: script calls nested too deep\n")
 
 
 def test_async_call_value_is_null(session):
