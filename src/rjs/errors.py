@@ -132,7 +132,7 @@ class ScriptTypeError(RjsError):
 
 
 class ScriptRecursionError(RjsError):
-    """Script calls nested deeper than the Python stack allows."""
+    """A script nested or calling deeper than the Python stack allows."""
 
     def __init__(self, message: str = "script calls nested too deep"):
         super().__init__(message)

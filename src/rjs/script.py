@@ -38,13 +38,14 @@ class Token(NamedTuple):
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)")
 _STRING_BODY = re.compile(r'(?:[^"\\\n]|\\[ntr"\\])*')
-# Every match is one token or one newline. The atomic group eats the blanks
-# and the comment in front, so a comment never backtracks into `/` tokens;
-# `end` matches where only they remain and stops the scan before it could
-# restart inside a trailing comment; `bad` catches any other character,
-# including a quote that does not open a well-formed string.
+# Every match is one token or one newline. The prefix eats the blanks and
+# the comment in front; it is never backtracked into, because after it one of
+# `newline`, `end` or `bad` always matches, so a comment never turns into `/`
+# tokens. `end` matches where only blanks or a comment remain and stops the
+# scan before it could restart inside a trailing comment; `bad` catches any
+# other character, including a quote that does not open a well-formed string.
 _TOKEN = re.compile(
-    r"(?>[ \t\r]*(?://[^\n]*)?)(?:(?P<punct>[.,;(){}=+\-*/%])|(?P<ident>[^\W\d]\w*)|(?P<newline>\n)"
+    r"(?:[ \t\r]*(?://[^\n]*)?)(?:(?P<punct>[.,;(){}=+\-*/%])|(?P<ident>[^\W\d]\w*)|(?P<newline>\n)"
     r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d*)?)|(?P<str>\"" + _STRING_BODY.pattern + r"\")"
     r"|(?P<end>\Z)|(?P<bad>.))")
 
@@ -371,7 +372,11 @@ def pretty_stmt(stmt: SStmt) -> str:
 
 
 def pretty(program: tuple[SStmt, ...]) -> str:
-    return "\n".join(pretty_stmt(s) for s in program) + ("\n" if program else "")
+    """Render a program; one nested deeper than the stack is a ScriptRecursionError."""
+    try:
+        return "\n".join(pretty_stmt(s) for s in program) + ("\n" if program else "")
+    except RecursionError:
+        raise ScriptRecursionError("program nested too deep to render") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rjs.errors import LexError, ParseError, ScriptNameError, ScriptTypeError
+from rjs.errors import LexError, ParseError, ScriptNameError, ScriptRecursionError, ScriptTypeError
 from rjs.registry import eval_macro, merge, parse_manifest
 from rjs.script import (
     Interpreter,
@@ -112,6 +112,31 @@ def test_deep_nesting_is_a_parse_error_at_the_current_token():
     with pytest.raises(ParseError, match="nesting too deep") as excinfo:
         parse("(" * 3000 + "1" + ")" * 3000 + ";")
     assert excinfo.value.line == 1 and 1 < excinfo.value.col <= 3000
+
+
+def _deepest_parseable(nest) -> int:
+    low, high = 1, 4000
+    while low < high:
+        mid = (low + high + 1) // 2
+        try:
+            parse(nest(mid))
+            low = mid
+        except ParseError:
+            high = mid - 1
+    return low
+
+
+@pytest.mark.parametrize("nest", [
+    lambda n: "let x = " + "+".join(["1"] * (n + 1)) + ";",  # the parser loops; eval and pretty recurse
+    lambda n: "let f = fn(a) { a; };\nlet x = " + "f(" * n + "1" + ")" * n + ";",
+], ids=["sum_chain", "nested_calls"])
+def test_programs_deeper_than_the_stack_fail_with_a_script_error(session, nest):
+    program = parse(nest(_deepest_parseable(nest)))
+    _, interp, _ = session
+    with pytest.raises(ScriptRecursionError, match="script calls nested too deep"):
+        interp.run(program)
+    with pytest.raises(ScriptRecursionError, match="program nested too deep to render"):
+        pretty(program)
 
 
 def test_lex_positions():
