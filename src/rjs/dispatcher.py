@@ -1,11 +1,12 @@
 """Asynchronous call engine.
 
-A fixed pool of worker threads consumes submitted tasks and posts
-completion messages onto a single FIFO queue; callbacks are delivered
-only by an explicit pump (`process_events` / `drain`) running on the
-interpreter domain, the thread that created the engine. Workers execute
-host bodies and constructor calls only; they never touch script values,
-proxies or the property tree.
+A fixed pool of worker threads, started by the first submission,
+consumes submitted tasks and posts completion messages onto a single
+FIFO queue; callbacks are delivered only by an explicit pump
+(`process_events` / `drain`) running on the interpreter domain, the
+thread that created the engine. Workers execute host bodies and
+constructor calls only; they never touch script values, proxies or the
+property tree.
 
 Pool size comes from the RJS_WORKERS environment variable (default 4;
 invalid values fall back to 4 with a warning on the diagnostic stream).
@@ -76,11 +77,14 @@ class Completion:
     call_id: int
     outcome: HostValue | None
     fault: Exception | None
-    finished_at: float
 
 
 class Dispatcher:
-    """Worker pool plus the callback-association table and completion pump."""
+    """Worker pool plus the callback-association table and completion pump.
+
+    The pool size is fixed at construction; its threads start on the
+    first `submit`, so an engine that only ever runs sync calls starts none.
+    """
 
     def __init__(
         self,
@@ -102,12 +106,7 @@ class Dispatcher:
         self._next_id = 1
         self._stopped = False
         self._home_thread = threading.get_ident()
-        self._threads = [
-            threading.Thread(target=self._worker_loop, name=f"rjs-worker-{i}", daemon=True)
-            for i in range(self.worker_count)
-        ]
-        for t in self._threads:
-            t.start()
+        self._threads: list[threading.Thread] = []  # started ones only
 
     # -- submission ---------------------------------------------------------
 
@@ -116,6 +115,12 @@ class Dispatcher:
         with self._lock:
             if self._stopped:
                 raise EngineStopped("dispatcher has been shut down")
+            # before the callback is registered: a failed start leaves no pending call
+            while len(self._threads) < self.worker_count:
+                thread = threading.Thread(target=self._worker_loop,
+                                          name=f"rjs-worker-{len(self._threads)}", daemon=True)
+                thread.start()
+                self._threads.append(thread)
             task.call_id = self._next_id
             self._next_id += 1
             self._pending[task.call_id] = callback
@@ -141,9 +146,7 @@ class Dispatcher:
                 outcome = self._execute(task)
             except Exception as exc:  # faults travel to the error sink
                 fault = exc
-            self._completions.put(
-                Completion(task.call_id, outcome, fault, time.monotonic())
-            )
+            self._completions.put(Completion(task.call_id, outcome, fault))
 
     def _execute(self, task: CallTask) -> HostValue:
         if task.construct_type is not None:
@@ -229,7 +232,7 @@ class Dispatcher:
 
     def shutdown(self) -> None:
         """Stop accepting work; workers finish queued tasks, completions stay
-        deliverable through process_events."""
+        deliverable through process_events. Joins only the threads started."""
         with self._lock:
             if self._stopped:
                 return

@@ -273,8 +273,10 @@ class Heap:
 
         This is the body's one fault boundary: any other RjsError raised
         while it runs (a dangling handle, an unknown type, a kind mismatch)
-        surfaces as a HostExecError with the same message, and so does
-        running out of stack (a constructor that `new`s its own type).
+        surfaces as a HostExecError with the same message. Running out of
+        stack is the caller's fault and passes through (a script that
+        recursed into this body), unless it happened in a body that this
+        one started with `new` (a constructor that `new`s its own type).
         """
         try:
             for stmt in statements:
@@ -298,8 +300,6 @@ class Heap:
             raise
         except RjsError as exc:
             raise HostExecError(str(exc)) from exc
-        except RecursionError:
-            raise HostExecError("stack exhausted while running a host body") from None
         return None
 
     def _type_of(self, canonical: int) -> str:
@@ -369,7 +369,10 @@ class Heap:
                 return self._builtin(name, values)
             case New(type_name, arg_exprs):
                 values = [self._eval(a, self_addr, args) for a in arg_exprs]
-                return ref(self.construct(type_name, values))
+                try:
+                    return ref(self.construct(type_name, values))
+                except RecursionError:  # host bodies nest only here
+                    raise HostExecError("stack exhausted while running a host body") from None
             case _:
                 raise HostExecError(f"unknown expression node {expr!r}")
 

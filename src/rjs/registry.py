@@ -7,12 +7,19 @@ and bumps the version; `eval_macro` additionally executes the manifest's
 top-level statement list against the heap. Declarations merge before
 statements run, so a faulting macro still leaves its declarations in
 place with the version bumped, and the bridge resynchronizes either way.
+
+A plugin text is parsed once per process (`parse_manifest` memoises
+statement-free results by text), so a long-lived host that opens
+session after session on the same libraries skips the parse; macros are
+parsed on every call.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -138,6 +145,12 @@ class GlobalSpec:
 
 @dataclass(frozen=True)
 class ManifestAST:
+    """A validated manifest.
+
+    A plugin's AST is memoised by `parse_manifest` and shared by every
+    bridge that loads the same text; callers must not modify it.
+    """
+
     namespaces: tuple[str, ...] = ()
     enums: dict[str, dict[str, int]] = field(default_factory=dict)
     types: tuple[TypeSpec, ...] = ()
@@ -488,12 +501,37 @@ def _reject_nonfinite(token: str) -> float:
     raise ValidationError(f"non-finite number {token!r} is not a valid constant")
 
 
+#: How many plugin texts `parse_manifest` keeps parsed, least recently used
+#: out first. Macros never enter, so a stream of unique macros cannot
+#: evict the plugins a host keeps reloading.
+MANIFEST_MEMO_SIZE = 16
+
+_memo: OrderedDict[str, ManifestAST] = OrderedDict()
+_memo_lock = threading.Lock()  # bridges on several threads may load at once
+
+
 def parse_manifest(text: str) -> ManifestAST:
-    """Parse and validate plugin/macro text. Never mutates a registry."""
+    """Parse and validate plugin/macro text. Never mutates a registry.
+
+    A statement-free (plugin) result is memoised per process and shared;
+    callers must not modify it. A text that fails is never memoised, so
+    it raises the same error on every call.
+    """
+    with _memo_lock:
+        ast = _memo.get(text)
+        if ast is not None:
+            _memo.move_to_end(text)
+            return ast
     try:
-        return _parse_manifest(text)
+        ast = _parse_manifest(text)
     except RecursionError:  # JSON nesting or an expression deeper than the stack
         raise ParseError("manifest nesting too deep") from None
+    if not ast.statements:
+        with _memo_lock:
+            _memo[text] = ast
+            if len(_memo) > MANIFEST_MEMO_SIZE:
+                _memo.popitem(last=False)
+    return ast
 
 
 def _parse_manifest(text: str) -> ManifestAST:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import threading
+from pathlib import Path
 
 import pytest
 
+from rjs import Bridge
 from rjs.cli import cmd_inspect, cmd_repl, cmd_run, main
 
 
@@ -19,6 +22,9 @@ ECHO_PLUGIN = json.dumps({"functions": [{
     "name": "Echo", "params": ["f64"], "returns": "f64",
     "body": [{"op": "ret", "value": {"op": "param", "index": 0}}],
 }]})
+
+
+SAMPLE_PLUGIN = (Path(__file__).resolve().parents[1] / "plugins" / "sample.plugin").read_text()
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -89,6 +95,8 @@ def test_run_missing_script_exits_1(tmp_path):
      "HostExecError: stack exhausted while running a host body"),
     ("root.Echo(3, fn(v) { let g = fn() { g(); }; g(); });\n", {"echo.plugin": ECHO_PLUGIN},
      "async call #1 failed: ScriptRecursionError: script calls nested too deep"),
+    ('let h = root.TH1D("h","t"); let f = fn() { h.Fill(0.5); f(); }; f();\n',
+     {"sample.plugin": SAMPLE_PLUGIN}, "ScriptRecursionError: script calls nested too deep"),
 ])
 def test_run_runaway_recursion_exits_1_with_one_line(tmp_path, source, plugins, error):
     paths = [write(tmp_path, name, text) for name, text in plugins.items()]
@@ -97,6 +105,40 @@ def test_run_runaway_recursion_exits_1_with_one_line(tmp_path, source, plugins, 
     assert cmd_run(script, paths, out=out, diag=diag) == 1
     assert diag.getvalue() == error + "\n"
     assert out.getvalue() == ""
+
+
+def test_script_recursion_through_a_host_call_is_a_script_error_at_any_stack_depth(tmp_path):
+    plugin = write(tmp_path, "sample.plugin", SAMPLE_PLUGIN)
+    script = write(tmp_path, "s.rjs", 'let h = root.TH1D("h","t"); let f = fn() { h.Fill(0.5); f(); }; f();')
+
+    def run_below(frames: int) -> str:
+        if frames:
+            return run_below(frames - 1)
+        diag = io.StringIO()
+        assert cmd_run(script, [plugin], out=io.StringIO(), diag=diag) == 1
+        return diag.getvalue()
+
+    # the stack runs out at a different point of each script call level for each start depth
+    for frames in range(12):
+        assert run_below(frames) == "ScriptRecursionError: script calls nested too deep\n", frames
+
+
+def test_sync_only_run_starts_no_worker_thread(tmp_path, sample_plugin, monkeypatch):
+    script = write(tmp_path, "s.rjs", 'let h = root.TH1D("h", "t"); h.Fill(0.5); print(h.GetEntries());')
+    before = set(threading.enumerate())
+    during: list[threading.Thread] = []
+    shutdown = Bridge.shutdown
+
+    def look_then_shutdown(bridge):
+        during.extend(threading.enumerate())
+        shutdown(bridge)
+
+    monkeypatch.setattr(Bridge, "shutdown", look_then_shutdown)
+    out = io.StringIO()
+    assert cmd_run(script, [str(sample_plugin)], out=out, diag=io.StringIO()) == 0
+    assert out.getvalue() == "1\n"
+    assert during
+    assert [t.name for t in during if t not in before and t.name.startswith("rjs-worker-")] == []
 
 
 def test_run_drain_timeout_exits_2(tmp_path):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import json
+import sys
 import threading
 import time
 import types
@@ -10,7 +12,7 @@ import types
 import pytest
 
 import rjs.dispatcher
-from rjs import CallTask, Dispatcher, Heap, Registry, i64, resolve_worker_count
+from rjs import CallTask, Dispatcher, FnRef, Heap, Registry, i64, resolve_worker_count
 from rjs.errors import DomainError, EngineStopped
 from rjs.model import Builtin, Const, ExprStmt, K_I64, MethodSignature, Param, Return
 
@@ -260,3 +262,70 @@ def test_default_sink_reports_fault_on_diag():
         assert diag.getvalue().startswith(f"async call #{call_id} failed: HostExecError: ")
     finally:
         engine.shutdown()
+
+
+# -- the pool starts on the first submission ------------------------------------------
+
+
+def new_workers(before: set[threading.Thread]) -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t not in before and t.name.startswith("rjs-worker-")]
+
+
+def test_first_submit_starts_exactly_worker_count_threads():
+    before = set(threading.enumerate())
+    engine = Dispatcher(Heap(Registry()), workers=3)
+    try:
+        assert new_workers(before) == []
+        engine.submit(CallTask(signature=echo_body(), args=[i64(1)]), lambda v: None)
+        started = new_workers(before)
+        assert sorted(t.name for t in started) == ["rjs-worker-0", "rjs-worker-1", "rjs-worker-2"]
+        engine.submit(CallTask(signature=echo_body(), args=[i64(2)]), lambda v: None)
+        assert new_workers(before) == started
+        assert engine.drain(2000)
+    finally:
+        engine.shutdown()
+    assert not any(t.is_alive() for t in started)
+
+
+def test_shutdown_before_any_submit_starts_no_thread(bridge):
+    bridge.evalmacro(json.dumps({"functions": [{
+        "name": "Echo", "params": ["i64"], "returns": "i64",
+        "body": [{"op": "ret", "value": {"op": "param", "index": 0}}]}]}))
+    before = set(threading.enumerate())
+    bridge.shutdown()
+    with pytest.raises(EngineStopped):
+        bridge.invoke(FnRef("Echo"), [1.0, lambda v: None])
+    assert new_workers(before) == []
+    assert bridge.dispatcher.pending_count() == 0
+
+
+def test_concurrent_first_submits_never_start_more_than_worker_count():
+    before = set(threading.enumerate())
+    engine = Dispatcher(Heap(Registry()), workers=3)
+    submitters, per_submitter = 8, 25
+    gate = threading.Barrier(submitters)
+    got: list[int] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def submit_all(base: int) -> None:
+            gate.wait(timeout=5)
+            for i in range(per_submitter):
+                engine.submit(CallTask(signature=echo_body(), args=[i64(base + i)]),
+                              lambda v: got.append(v.value))
+
+        threads = [threading.Thread(target=submit_all, args=(s * per_submitter,))
+                   for s in range(submitters)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        started = new_workers(before)
+        assert len(started) == 3
+        assert engine.drain(5000)
+    finally:
+        sys.setswitchinterval(interval)
+        engine.shutdown()
+    assert sorted(got) == list(range(submitters * per_submitter))
+    assert not any(t.is_alive() for t in started)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rjs.registry
+from rjs import Bridge
 from rjs.errors import ParseError, ValidationError
 from rjs.model import Const, Return, SetGlobal, i64
 from rjs.registry import ManifestAST, parse_manifest, serialize_manifest
@@ -259,3 +262,140 @@ def test_round_trip_property(text: str):
     assert first == second
     # serialization is a fixpoint after one pass
     assert serialize_manifest(first) == serialize_manifest(second)
+
+
+# -- the per-process plugin memo -----------------------------------------------------
+
+
+@pytest.fixture
+def parses(monkeypatch) -> list[str]:
+    """Texts that reached the real parser, with the memo emptied first."""
+    seen: list[str] = []
+    real = rjs.registry._parse_manifest
+
+    def counted(text: str) -> ManifestAST:
+        seen.append(text)
+        return real(text)
+
+    monkeypatch.setattr(rjs.registry, "_parse_manifest", counted)
+    with rjs.registry._memo_lock:
+        rjs.registry._memo.clear()
+    return seen
+
+
+def load_in_new_bridge(path) -> Bridge:
+    bridge = Bridge(workers=1, diag=io.StringIO())
+    bridge.loadlibrary(str(path))
+    return bridge
+
+
+def test_same_plugin_text_loaded_twice_is_parsed_once(tmp_path, parses):
+    path = tmp_path / "vec.plugin"
+    path.write_text(json.dumps(VEC2))
+    first, second = load_in_new_bridge(path), load_in_new_bridge(path)
+    try:
+        assert len(parses) == 1
+        for bridge in (first, second):
+            assert bridge.registry.enumerate("").types == ["Vec2"]
+    finally:
+        first.shutdown()
+        second.shutdown()
+
+
+def test_plugin_rewritten_at_the_same_path_is_parsed_again(tmp_path, parses):
+    path = tmp_path / "p.plugin"
+    path.write_text(json.dumps({"types": [{"name": "Old"}]}))
+    first = load_in_new_bridge(path)
+    path.write_text(json.dumps({"types": [{"name": "New"}]}))
+    second = load_in_new_bridge(path)
+    try:
+        assert len(parses) == 2
+        assert first.registry.enumerate("").types == ["Old"]
+        assert second.registry.enumerate("").types == ["New"]
+    finally:
+        first.shutdown()
+        second.shutdown()
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{ not json", ParseError),
+    (json.dumps({"tpyes": []}), ValidationError),
+    ('{"functions": [{"name": "F", "params": [], "returns": "i64", "body": [{"op": "ret", "value": '
+     + '{"op": "bin", "o": "+", "l": {"op": "const", "value": 1}, "r": ' * 3000
+     + '{"op": "const", "value": 1}' + "}" * 3000 + "}]}]}", ParseError),
+], ids=["malformed-json", "unknown-key", "nesting-too-deep"])
+def test_invalid_plugin_fails_the_same_way_on_every_load(tmp_path, parses, text, error):
+    path = tmp_path / "bad.plugin"
+    path.write_text(text)
+    bridge = Bridge(workers=1, diag=io.StringIO())
+    try:
+        failures = []
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                bridge.loadlibrary(str(path))
+            failures.append((type(caught.value), str(caught.value)))
+        assert failures[0] == failures[1]
+        assert len(parses) == 2
+        assert text not in rjs.registry._memo
+    finally:
+        bridge.shutdown()
+
+
+def test_macro_with_statements_is_parsed_on_every_evalmacro(parses):
+    text = json.dumps({"statements": [{"op": "ret", "value": {"op": "const", "value": 7}}]})
+    bridge = Bridge(workers=1, diag=io.StringIO())
+    try:
+        assert bridge.evalmacro(text) == 7.0
+        assert bridge.evalmacro(text) == 7.0
+        assert parses == [text, text]
+        assert text not in rjs.registry._memo
+    finally:
+        bridge.shutdown()
+
+
+def test_bridges_sharing_a_memoised_plugin_keep_their_own_registries(sample_plugin, parses):
+    text = sample_plugin.read_text(encoding="utf-8")
+    first, second = load_in_new_bridge(sample_plugin), load_in_new_bridge(sample_plugin)
+    try:
+        assert len(parses) == 1
+
+        def snapshot(bridge: Bridge):
+            registry = bridge.registry
+            listings = {path: registry.enumerate(path) for path in ("", "ROOT", "ROOT.Math", "ROOT.IO")}
+            methods = {
+                name: {m: list(s.signatures) for m, s in registry.find_type(name).methods.items()}
+                for name in registry.enumerate("").types
+            }
+            return listings, methods, dict(bridge.heap.globals)
+
+        before = snapshot(second)
+        first.evalmacro(json.dumps({
+            "types": [{"name": "TH1D", "methods": [
+                {"name": "Extra", "params": [], "returns": "i64",
+                 "body": [{"op": "ret", "value": {"op": "const", "value": 1}}]}]}],
+            "globals": [{"name": "gAdded", "kind": "i64", "initial": 2}],
+            "statements": [{"op": "gset", "name": "gDebug", "value": {"op": "const", "value": 3}}],
+        }))
+        assert first.registry.method_set("TH1D", "Extra") is not None
+        assert first.heap.read_global("gDebug") == i64(3)
+        assert snapshot(second) == before
+        assert second.registry.method_set("TH1D", "Extra") is None
+        assert second.heap.read_global("gDebug") == i64(0)
+        assert rjs.registry._memo[text] == rjs.registry._parse_manifest(text)
+    finally:
+        first.shutdown()
+        second.shutdown()
+
+
+def test_memo_holds_no_more_than_its_bound_and_drops_the_least_recent(parses):
+    bound = rjs.registry.MANIFEST_MEMO_SIZE
+    texts = [json.dumps({"namespaces": [f"N{i}"]}) for i in range(bound + 3)]
+    for text in texts[:bound]:
+        parse_manifest(text)
+    parse_manifest(texts[0])  # a hit makes it the most recent
+    for text in texts[bound:]:
+        parse_manifest(text)
+    assert len(rjs.registry._memo) == bound
+    parse_manifest(texts[0])  # still held
+    parse_manifest(texts[1])  # dropped first
+    assert parses == [*texts, texts[1]]

@@ -43,7 +43,7 @@ def test_errors_render_and_session_survives(session):
     assert "ParseError" in text
 
 
-def test_runaway_recursion_renders_and_session_survives(session, bridge):
+def test_runaway_recursion_renders_and_session_survives(session, bridge, sample_plugin):
     repl, _ = session
     merge(bridge.registry, parse_manifest(json.dumps({"types": [{
         "name": "Loop",
@@ -53,6 +53,9 @@ def test_runaway_recursion_renders_and_session_survives(session, bridge):
     assert repl.step("let f = fn() { f(); };") == ""
     assert repl.step("f();") == "error: ScriptRecursionError: script calls nested too deep\n"
     assert repl.step("2+2") == "4\n"
+    repl.step(f'root.loadlibrary("{sample_plugin}");')
+    repl.step('let h = root.TH1D("h", "t"); let g = fn() { h.Fill(0.5); g(); };')
+    assert repl.step("g();") == "error: ScriptRecursionError: script calls nested too deep\n"
     objects = dict(bridge.heap.objects)
     text = repl.step("root.Loop();")
     assert text == "error: HostExecError: stack exhausted while running a host body\n"
