@@ -8,6 +8,14 @@ to the canonical address at creation time, and 0 is the reserved null
 handle. Structural mutations and individual field/global accesses are
 guarded by one lock; worker contexts may execute bodies concurrently
 with nothing stronger than per-access atomicity.
+
+Bodies run as closures, not as a tree walk. `compile_body` turns a
+statement list into nested `step(heap, self_addr, args)` closures once;
+a signature keeps its compiled body for its life, so a plugin body
+(whose signature the per-process manifest memo shares between bridges)
+compiles once per process, while a macro compiles on every call. The
+closures hold no heap: each call passes it in, `self` normalized once,
+and a field step takes the lock for its own access only.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import (
     DanglingHandle,
@@ -35,6 +44,7 @@ from .model import (
     BinOp,
     Builtin,
     Const,
+    Expr,
     ExprStmt,
     GetField,
     GetGlobal,
@@ -61,6 +71,10 @@ from .model import (
 )
 
 FIRST_ADDRESS = 0x1000
+
+#: a compiled node or body: `step(heap, self_addr, args)`; a statement's
+#: step returns None, a body's the Return value or None
+Step = Callable[["Heap", "int | None", "list[HostValue]"], "HostValue | None"]
 
 
 @dataclass
@@ -93,7 +107,7 @@ class Heap:
         with self._lock:
             canonical = self.aliases.get(handle)
             if canonical is None or canonical not in self.objects:
-                raise DanglingHandle(f"handle {handle:#x} does not reference a live object")
+                raise _dangling(handle)
             return canonical
 
     def make_alias(self, handle: int) -> int:
@@ -236,13 +250,21 @@ class Heap:
 
         Arity and kinds are assumed to match the signature exactly (the
         bridge converts beforehand). All faults surface as HostExecError.
+        The body is compiled on the signature's first call and the
+        closures are kept on it (`MethodSignature.code`) for its life.
         """
         if len(args) != len(signature.params):
             raise HostExecError(
                 f"arity mismatch: body expects {len(signature.params)}, got {len(args)}"
             )
         self_addr = self.normalize(self_handle) if self_handle is not None else None
-        result = self._run_statements(signature.body, self_addr, args, create_globals=False)
+        body = signature.code
+        if body is None:
+            # Two threads may both compile a first call; the results are
+            # equal and the store is atomic under the GIL.
+            body = compile_body(signature.body, create_globals=False)
+            object.__setattr__(signature, "code", body)
+        result = self._run(body, self_addr, args)
         if result is None:
             if signature.returns == K_VOID:
                 return VOID
@@ -250,9 +272,31 @@ class Heap:
         return self._coerce_return(signature.returns, result)
 
     def run_macro_statements(self, statements: tuple[Stmt, ...]) -> HostValue:
-        """Top-level macro statement list: no self, no params, globals auto-create."""
-        result = self._run_statements(statements, None, [], create_globals=True)
+        """Top-level macro statement list: no self, no params, globals auto-create.
+
+        A macro runs once, so it is compiled on every call and not kept.
+        """
+        result = self._run(compile_body(statements, create_globals=True), None, [])
         return VOID if result is None else result
+
+    def _run(self, body: Step, self_addr: int | None, args: list[HostValue]) -> HostValue | None:
+        """Run a compiled body; returns the Return value or None when none ran.
+
+        This is the body's one fault boundary: any other RjsError raised
+        while it runs (a dangling handle, an unknown type, a kind mismatch)
+        surfaces as a HostExecError with the same message. Running out of
+        stack is the caller's fault and passes through (a script that
+        recursed into this body), unless it happened in a body that this
+        one started with `new` (a constructor that `new`s its own type).
+        Compiling raises nothing but HostExecError and RecursionError, so
+        the same rule holds for a stack that runs out while compiling.
+        """
+        try:
+            return body(self, self_addr, args)
+        except HostExecError:
+            raise
+        except RjsError as exc:
+            raise HostExecError(str(exc)) from exc
 
     def _coerce_return(self, declared: ValueKind, value: HostValue) -> HostValue:
         value = self._implicit(declared, value)
@@ -261,50 +305,6 @@ class Heap:
         if declared.tag == TAG_ENUM and value.enum_name != declared.name:
             raise HostExecError(f"body returned enum {value.enum_name}, expected {declared.name}")
         return value
-
-    def _run_statements(
-        self,
-        statements: tuple[Stmt, ...],
-        self_addr: int | None,
-        args: list[HostValue],
-        create_globals: bool,
-    ) -> HostValue | None:
-        """Execute in order; returns the Return value or None when none ran.
-
-        This is the body's one fault boundary: any other RjsError raised
-        while it runs (a dangling handle, an unknown type, a kind mismatch)
-        surfaces as a HostExecError with the same message. Running out of
-        stack is the caller's fault and passes through (a script that
-        recursed into this body), unless it happened in a body that this
-        one started with `new` (a constructor that `new`s its own type).
-        """
-        try:
-            for stmt in statements:
-                match stmt:
-                    case Return(value):
-                        return VOID if value is None else self._eval(value, self_addr, args)
-                    case SetField(name, expr):
-                        if self_addr is None:
-                            raise HostExecError("field write outside an instance context")
-                        value = self._eval(expr, self_addr, args)
-                        decl = self.registry.field_decl(self._type_of(self_addr), name)
-                        if decl is None:
-                            raise HostExecError(f"unknown field {name!r}")
-                        self.write_field(self_addr, name, self._implicit(decl.kind, value))
-                    case SetGlobal(name, expr):
-                        value = self._eval(expr, self_addr, args)
-                        self._set_global(name, value, create_globals)
-                    case ExprStmt(expr):
-                        self._eval(expr, self_addr, args)
-        except HostExecError:
-            raise
-        except RjsError as exc:
-            raise HostExecError(str(exc)) from exc
-        return None
-
-    def _type_of(self, canonical: int) -> str:
-        with self._lock:
-            return self.objects[canonical].type_name
 
     def _set_global(self, qualified: str, value: HostValue, create: bool) -> None:
         decl = self.registry.find_global(qualified)
@@ -329,164 +329,20 @@ class Heap:
             case "obj":
                 if value.value == 0:
                     return None
-                return ValueKind(TAG_OBJ, self._type_of(self.normalize(value.value)))  # type: ignore[arg-type]
+                with self._lock:
+                    obj = self.objects[self.normalize(value.value)]  # type: ignore[arg-type]
+                    return ValueKind(TAG_OBJ, obj.type_name)
             case _:
                 return None
 
-    def _implicit(self, declared: ValueKind, value: HostValue) -> HostValue:
+    @staticmethod
+    def _implicit(declared: ValueKind, value: HostValue) -> HostValue:
         """Host-side widening before a store: i64 -> f64 and enum -> i64 only."""
         if declared.tag == TAG_F64 and value.tag == TAG_I64:
             return f64(float(value.value))  # type: ignore[arg-type]
         if declared.tag == TAG_I64 and value.tag == TAG_ENUM:
             return i64(value.value)  # type: ignore[arg-type]
         return value
-
-    # -- expression evaluation ------------------------------------------------------
-
-    def _eval(self, expr, self_addr: int | None, args: list[HostValue]) -> HostValue:
-        match expr:
-            case Const(value):
-                return value
-            case Param(index):
-                if index >= len(args):
-                    raise HostExecError(f"parameter index {index} out of range")
-                return args[index]
-            case SelfRef():
-                if self_addr is None:
-                    raise HostExecError("self reference outside an instance context")
-                return ref(self_addr)
-            case GetField(name):
-                if self_addr is None:
-                    raise HostExecError("field read outside an instance context")
-                return self.read_field(self_addr, name)
-            case GetGlobal(name):
-                return self.read_global(name)
-            case BinOp(op, left, right):
-                return self._arith(op, self._eval(left, self_addr, args),
-                                   self._eval(right, self_addr, args))
-            case Builtin(name, arg_exprs):
-                values = [self._eval(a, self_addr, args) for a in arg_exprs]
-                return self._builtin(name, values)
-            case New(type_name, arg_exprs):
-                values = [self._eval(a, self_addr, args) for a in arg_exprs]
-                try:
-                    return ref(self.construct(type_name, values))
-                except RecursionError:  # host bodies nest only here
-                    raise HostExecError("stack exhausted while running a host body") from None
-            case _:
-                raise HostExecError(f"unknown expression node {expr!r}")
-
-    @staticmethod
-    def _numeric(value: HostValue) -> tuple[str, int | float] | None:
-        """Numeric view: enums participate in arithmetic as their i64 value."""
-        if value.tag == TAG_I64:
-            return TAG_I64, value.value  # type: ignore[return-value]
-        if value.tag == TAG_F64:
-            return TAG_F64, value.value  # type: ignore[return-value]
-        if value.tag == TAG_ENUM:
-            return TAG_I64, value.value  # type: ignore[return-value]
-        return None
-
-    def _arith(self, op: str, left: HostValue, right: HostValue) -> HostValue:
-        ln = self._numeric(left)
-        rn = self._numeric(right)
-        if ln is None or rn is None:
-            raise HostExecError(f"operator {op!r} requires numeric operands, got {left.tag}/{right.tag}")
-        ltag, lv = ln
-        rtag, rv = rn
-        if ltag == TAG_I64 and rtag == TAG_I64:
-            return self._arith_i64(op, lv, rv)  # type: ignore[arg-type]
-        return self._arith_f64(op, float(lv), float(rv))
-
-    @staticmethod
-    def _arith_i64(op: str, a: int, b: int) -> HostValue:
-        if op in ("/", "%") and b == 0:
-            raise HostExecError("integer division by zero")
-        match op:
-            case "+":
-                return i64(a + b)
-            case "-":
-                return i64(a - b)
-            case "*":
-                return i64(a * b)
-            case "/":
-                quotient = abs(a) // abs(b)
-                if (a < 0) != (b < 0):
-                    quotient = -quotient
-                return i64(quotient)  # truncation toward zero
-            case "%":
-                quotient = abs(a) // abs(b)
-                if (a < 0) != (b < 0):
-                    quotient = -quotient
-                return i64(a - wrap_i64(quotient * b))  # sign follows the dividend
-            case _:
-                raise HostExecError(f"unknown operator {op!r}")
-
-    @staticmethod
-    def _arith_f64(op: str, a: float, b: float) -> HostValue:
-        if op == "%":
-            raise HostExecError("operator '%' requires integer operands")
-        if op == "/" and b == 0.0:
-            raise HostExecError("floating-point division by zero")
-        match op:
-            case "+":
-                return f64(a + b)
-            case "-":
-                return f64(a - b)
-            case "*":
-                return f64(a * b)
-            case "/":
-                return f64(a / b)
-            case _:
-                raise HostExecError(f"unknown operator {op!r}")
-
-    def _builtin(self, name: str, values: list[HostValue]) -> HostValue:
-        bounds = BUILTINS.get(name)
-        if bounds is None:
-            raise HostExecError(f"unknown builtin {name!r}")
-        low, high = bounds
-        if len(values) < low or (high is not None and len(values) > high):
-            raise HostExecError(f"builtin {name!r} called with {len(values)} argument(s)")
-        match name:
-            case "sqrt":
-                num = self._numeric(values[0])
-                if num is None:
-                    raise HostExecError("sqrt requires a numeric argument")
-                x = float(num[1])
-                if x < 0:
-                    raise HostExecError(f"sqrt of negative value {format_host(values[0])}")
-                return f64(math.sqrt(x))
-            case "floor":
-                num = self._numeric(values[0])
-                if num is None or not math.isfinite(float(num[1])):
-                    raise HostExecError("floor requires a finite numeric argument")
-                return f64(float(math.floor(float(num[1]))))
-            case "concat":
-                parts = []
-                for v in values:
-                    if v.tag not in ("cstr", "str"):
-                        raise HostExecError(f"concat requires string arguments, got {v.tag}")
-                    parts.append(v.value)
-                return strobj("".join(parts))  # type: ignore[arg-type]
-            case "strlen":
-                if values[0].tag not in ("cstr", "str"):
-                    raise HostExecError(f"strlen requires a string argument, got {values[0].tag}")
-                return i64(len(values[0].value))  # type: ignore[arg-type]
-            case "to_str":
-                return strobj(format_host(values[0]))
-            case "sleep_ms":
-                num = self._numeric(values[0])
-                if (num is None or not math.isfinite(float(num[1]))
-                        or float(num[1]) != int(num[1]) or num[1] < 0):
-                    raise HostExecError("sleep_ms requires a non-negative integer")
-                time.sleep(int(num[1]) / 1000.0)
-                return VOID
-            case "alias":
-                if values[0].tag != TAG_OBJ:
-                    raise HostExecError(f"alias requires an object reference, got {values[0].tag}")
-                return ref(self.make_alias(values[0].value))  # type: ignore[arg-type]
-            case _:
-                raise HostExecError(f"unknown builtin {name!r}")
 
     # -- host-side exact overload match (for New) -------------------------------------
 
@@ -502,3 +358,295 @@ class Heap:
 
     def _kinds_of(self, args: list[HostValue]) -> str:
         return ", ".join(a.tag for a in args)
+
+
+# ---------------------------------------------------------------------------
+# body compilation: closures replace the tree walk
+# ---------------------------------------------------------------------------
+
+def _dangling(handle: int) -> DanglingHandle:
+    return DanglingHandle(f"handle {handle:#x} does not reference a live object")
+
+
+def compile_body(statements: tuple[Stmt, ...], create_globals: bool) -> Step:
+    """Compile a statement list into one `body(heap, self_addr, args)` closure.
+
+    The closure returns the value of the first Return, or None when none
+    runs; statements after a Return are unreachable and not compiled.
+    Every node is resolved here, once: its operator, builtin or field
+    name picks a specialised closure, so a call walks no tree and
+    dispatches on no node class. The closures capture only the body's
+    own names, constants and operators, never a heap, registry or
+    bridge: one signature, and so one compiled body, serves every heap
+    whose registry holds it. `create_globals` is the macro rule: a
+    `gset` of an undeclared name declares it.
+    """
+    effects: list[Step] = []
+    final: Step = _no_return
+    for stmt in statements:
+        if isinstance(stmt, Return):
+            final = _const(VOID) if stmt.value is None else _compile_expr(stmt.value)
+            break
+        effects.append(_compile_stmt(stmt, create_globals))
+    if not effects:
+        return final
+    steps = tuple(effects)
+
+    def body(heap: Heap, self_addr: int | None, args: list[HostValue]) -> HostValue | None:
+        for step in steps:
+            step(heap, self_addr, args)
+        return final(heap, self_addr, args)
+
+    return body
+
+
+def _no_return(heap: Heap, self_addr: int | None, args: list[HostValue]) -> None:
+    return None
+
+
+def _compile_stmt(stmt: Stmt, create_globals: bool) -> Step:
+    if isinstance(stmt, ExprStmt):
+        return _compile_expr(stmt.value)
+    if isinstance(stmt, SetField):
+        return _set_field(stmt.name, _compile_expr(stmt.value))
+    if isinstance(stmt, SetGlobal):
+        return _set_global(stmt.name, _compile_expr(stmt.value), create_globals)
+    raise HostExecError(f"unknown statement node {stmt!r}")
+
+
+def _compile_expr(expr: Expr) -> Step:
+    compile_node = _EXPRESSIONS.get(type(expr))
+    if compile_node is None:
+        raise HostExecError(f"unknown expression node {expr!r}")
+    return compile_node(expr)
+
+
+def _const(value: HostValue) -> Step:
+    def const(heap, self_addr, args):
+        return value
+    return const
+
+
+def _param(node: Param) -> Step:
+    index = node.index
+
+    def param(heap, self_addr, args):
+        if index >= len(args):
+            raise HostExecError(f"parameter index {index} out of range")
+        return args[index]
+    return param
+
+
+def _self_ref(node: SelfRef) -> Step:
+    def self_ref(heap, self_addr, args):
+        if self_addr is None:
+            raise HostExecError("self reference outside an instance context")
+        return ref(self_addr)
+    return self_ref
+
+
+def _get_field(node: GetField) -> Step:
+    name = node.name
+
+    def get_field(heap, self_addr, args):
+        if self_addr is None:
+            raise HostExecError("field read outside an instance context")
+        with heap._lock:
+            obj = heap.objects.get(self_addr)  # self_addr is canonical: no normalize
+            if obj is None:
+                raise _dangling(self_addr)
+            value = obj.storage.get(name)
+            if value is None:
+                raise UnknownField(f"{obj.type_name!r} has no field {name!r}")
+            return value
+    return get_field
+
+
+def _set_field(name: str, value_step: Step) -> Step:
+    def set_field(heap, self_addr, args):
+        if self_addr is None:
+            raise HostExecError("field write outside an instance context")
+        value = value_step(heap, self_addr, args)
+        with heap._lock:
+            obj = heap.objects.get(self_addr)
+            if obj is None:
+                raise _dangling(self_addr)
+            decl = heap.registry.field_decl(obj.type_name, name)
+            if decl is None:
+                raise HostExecError(f"unknown field {name!r}")
+            if name not in obj.storage:
+                raise UnknownField(f"{obj.type_name!r} has no field {name!r}")
+            kind = decl.kind
+            # a scalar kind (no name) of the value's own tag needs no widening and fits
+            if value.tag != kind.tag or kind.name is not None:
+                value = heap._implicit(kind, value)
+                heap._check_kind(kind, value, f"field {obj.type_name}.{name}")
+            obj.storage[name] = value
+    return set_field
+
+
+def _get_global(node: GetGlobal) -> Step:
+    name = node.name
+
+    def get_global(heap, self_addr, args):
+        return heap.read_global(name)
+    return get_global
+
+
+def _set_global(name: str, value_step: Step, create: bool) -> Step:
+    def set_global(heap, self_addr, args):
+        heap._set_global(name, value_step(heap, self_addr, args), create)
+    return set_global
+
+
+def _new(node: New) -> Step:
+    type_name = node.type_name
+    arg_steps = tuple(_compile_expr(a) for a in node.args)
+
+    def new(heap, self_addr, args):
+        values = [step(heap, self_addr, args) for step in arg_steps]
+        try:
+            return ref(heap.construct(type_name, values))
+        except RecursionError:  # host bodies nest only here
+            raise HostExecError("stack exhausted while running a host body") from None
+    return new
+
+
+# -- arithmetic ----------------------------------------------------------------------
+
+#: numeric view of a tag: enums take part in arithmetic as their i64 value
+_NUMERIC = {TAG_I64: TAG_I64, TAG_ENUM: TAG_I64, TAG_F64: TAG_F64}
+
+
+def _truncated_quotient(a: int, b: int) -> int:
+    if b == 0:
+        raise HostExecError("integer division by zero")
+    quotient = abs(a) // abs(b)
+    return -quotient if (a < 0) != (b < 0) else quotient
+
+
+def _float_div(a: float, b: float) -> HostValue:
+    if b == 0.0:
+        raise HostExecError("floating-point division by zero")
+    return f64(a / b)
+
+
+def _float_mod(a: float, b: float) -> HostValue:
+    raise HostExecError("operator '%' requires integer operands")
+
+
+#: operator -> (both operands i64, either operand f64)
+_OPERATORS: dict[str, tuple[Callable[[int, int], HostValue], Callable[[float, float], HostValue]]] = {
+    "+": (lambda a, b: i64(a + b), lambda a, b: f64(a + b)),
+    "-": (lambda a, b: i64(a - b), lambda a, b: f64(a - b)),
+    "*": (lambda a, b: i64(a * b), lambda a, b: f64(a * b)),
+    "/": (lambda a, b: i64(_truncated_quotient(a, b)), _float_div),  # truncation toward zero
+    "%": (lambda a, b: i64(a - wrap_i64(_truncated_quotient(a, b) * b)), _float_mod),  # sign of the dividend
+}
+
+
+def _bin_op(node: BinOp) -> Step:
+    op = node.op
+    if op not in _OPERATORS:
+        raise HostExecError(f"unknown operator {op!r}")
+    on_ints, on_floats = _OPERATORS[op]
+    left, right = _compile_expr(node.left), _compile_expr(node.right)
+
+    def bin_op(heap, self_addr, args):
+        lv = left(heap, self_addr, args)
+        rv = right(heap, self_addr, args)
+        ltag = _NUMERIC.get(lv.tag)
+        rtag = _NUMERIC.get(rv.tag)
+        if ltag is None or rtag is None:
+            raise HostExecError(f"operator {op!r} requires numeric operands, got {lv.tag}/{rv.tag}")
+        if ltag == rtag == TAG_I64:
+            return on_ints(lv.value, rv.value)
+        return on_floats(float(lv.value), float(rv.value))
+    return bin_op
+
+
+# -- builtins: (heap, argument values) -> value ----------------------------------------
+
+def _number(value: HostValue) -> float | None:
+    return float(value.value) if value.tag in _NUMERIC else None  # type: ignore[arg-type]
+
+
+def _sqrt(heap: Heap, values: list[HostValue]) -> HostValue:
+    x = _number(values[0])
+    if x is None:
+        raise HostExecError("sqrt requires a numeric argument")
+    if x < 0:
+        raise HostExecError(f"sqrt of negative value {format_host(values[0])}")
+    return f64(math.sqrt(x))
+
+
+def _floor(heap: Heap, values: list[HostValue]) -> HostValue:
+    x = _number(values[0])
+    if x is None or not math.isfinite(x):
+        raise HostExecError("floor requires a finite numeric argument")
+    return f64(float(math.floor(x)))
+
+
+def _concat(heap: Heap, values: list[HostValue]) -> HostValue:
+    for v in values:
+        if v.tag not in ("cstr", "str"):
+            raise HostExecError(f"concat requires string arguments, got {v.tag}")
+    return strobj("".join(v.value for v in values))  # type: ignore[misc]
+
+
+def _strlen(heap: Heap, values: list[HostValue]) -> HostValue:
+    if values[0].tag not in ("cstr", "str"):
+        raise HostExecError(f"strlen requires a string argument, got {values[0].tag}")
+    return i64(len(values[0].value))  # type: ignore[arg-type]
+
+
+def _to_str(heap: Heap, values: list[HostValue]) -> HostValue:
+    return strobj(format_host(values[0]))
+
+
+def _sleep_ms(heap: Heap, values: list[HostValue]) -> HostValue:
+    n = values[0].value
+    if (values[0].tag not in _NUMERIC or not math.isfinite(float(n))  # type: ignore[arg-type]
+            or float(n) != int(n) or n < 0):  # type: ignore[call-overload, operator]
+        raise HostExecError("sleep_ms requires a non-negative integer")
+    time.sleep(int(n) / 1000.0)  # type: ignore[call-overload]
+    return VOID
+
+
+def _alias(heap: Heap, values: list[HostValue]) -> HostValue:
+    if values[0].tag != TAG_OBJ:
+        raise HostExecError(f"alias requires an object reference, got {values[0].tag}")
+    return ref(heap.make_alias(values[0].value))  # type: ignore[arg-type]
+
+
+_BUILTIN_CODE = {
+    "sqrt": _sqrt, "floor": _floor, "concat": _concat, "strlen": _strlen,
+    "to_str": _to_str, "sleep_ms": _sleep_ms, "alias": _alias,
+}
+
+
+def _builtin(node: Builtin) -> Step:
+    name = node.name
+    bounds, run = BUILTINS.get(name), _BUILTIN_CODE.get(name)
+    if bounds is None or run is None:
+        raise HostExecError(f"unknown builtin {name!r}")
+    low, high = bounds
+    if len(node.args) < low or (high is not None and len(node.args) > high):
+        raise HostExecError(f"builtin {name!r} called with {len(node.args)} argument(s)")
+    arg_steps = tuple(_compile_expr(a) for a in node.args)
+
+    def builtin(heap, self_addr, args):
+        return run(heap, [step(heap, self_addr, args) for step in arg_steps])
+    return builtin
+
+
+_EXPRESSIONS: dict[type, Callable[..., Step]] = {
+    Const: lambda node: _const(node.value),
+    Param: _param,
+    SelfRef: _self_ref,
+    GetField: _get_field,
+    GetGlobal: _get_global,
+    BinOp: _bin_op,
+    Builtin: _builtin,
+    New: _new,
+}

@@ -259,12 +259,19 @@ BUILTINS: dict[str, tuple[int, int | None]] = {
 
 @dataclass(frozen=True)
 class MethodSignature:
-    """One overload: parameter kinds, return kind and an executable body."""
+    """One overload: parameter kinds, return kind and an executable body.
+
+    `code` is `body` compiled by `heap.compile_body`, stored by the first
+    `Heap.exec_body` and kept for the signature's life. It holds no heap
+    or registry, so every bridge sharing the signature shares it; it
+    takes no part in comparison, hashing or `repr`.
+    """
 
     params: tuple[ValueKind, ...]
     returns: ValueKind = K_VOID
     is_static: bool = False
     body: tuple[Stmt, ...] = ()
+    code: Callable | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -442,6 +449,7 @@ class Registry:
         self.version = 0
         self.journal: list[tuple[str, str]] = []
         self._layouts: dict[str, TypeLayout] = {}
+        self._walked: dict[str, TypeLayout] = {}  # see `hand_over_layouts`
         self.busy_check = None  # optional () -> int, wired by the bridge
 
     # -- lookup / enumeration ------------------------------------------------
@@ -499,8 +507,9 @@ class Registry:
     def layout(self, qualified_name: str) -> TypeLayout | None:
         """The type's memoised layout, or None if no such type exists.
 
-        `walk_layout` builds it on first use; it is kept for the life of
-        the registry. That is exact, not merely per version: a merged
+        It is built on first use, by `walk_layout` or taken from the
+        layouts the latest merge walked, and kept for the life of the
+        registry. That is exact, not merely per version: a merged
         type's bases and fields never change, every base exists when its
         type is merged, types are never removed or redeclared, and an
         extension only appends to `desc.methods` in place, which the
@@ -512,10 +521,13 @@ class Registry:
         """
         layout = self._layouts.get(qualified_name)
         if layout is None:
-            desc = self.find_type(qualified_name)
-            if desc is None:
-                return None
-            layout = self._layouts[qualified_name] = walk_layout(desc, self.find_type)
+            layout = self._walked.pop(qualified_name, None)
+            if layout is None:
+                desc = self.find_type(qualified_name)
+                if desc is None:
+                    return None
+                layout = walk_layout(desc, self.find_type)
+            self._layouts[qualified_name] = layout
         return layout
 
     def base_chain(self, qualified_name: str) -> list[HostTypeDescriptor]:
@@ -562,6 +574,18 @@ class Registry:
         getattr(self.entries[parent], CHILD_MAPS[category])[name] = entry
         self.entries[qualified] = entry
         self.journal.append((category, qualified))
+
+    def hand_over_layouts(self, walked: dict[str, TypeLayout]) -> None:
+        """Keep the layouts a merge walked for its new types until first use.
+
+        `layout` then takes a type's layout from here instead of walking
+        its ancestors a second time. Only the latest merge's layouts wait:
+        this call drops the previous merge's unused ones. A macro's types
+        are typically used at once, while a plugin declares many types a
+        session never touches, and memoising all of those would hold a
+        layout per declared type rather than per used one.
+        """
+        self._walked = walked
 
     def check_namespace_path(self, path: str) -> None:
         """Raise ConflictError if a prefix of `path` names something else."""

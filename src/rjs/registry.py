@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -59,6 +60,7 @@ from .model import (
     SetField,
     SetGlobal,
     Stmt,
+    TypeLayout,
     VOID,
     ValueKind,
     boolean,
@@ -525,6 +527,13 @@ def parse_manifest(text: str) -> ManifestAST:
     try:
         ast = _parse_manifest(text)
     except RecursionError:  # JSON nesting or an expression deeper than the stack
+        # Blame the larger user of the stack: a manifest nesting deeper than
+        # its caller's stack is at fault; a deep caller (a script recursing
+        # through evalmacro) gets the RecursionError back, which the script
+        # layer reports as its own. Either check may itself run out of stack,
+        # which also blames the caller.
+        if _nesting(text) < _stack_depth():
+            raise
         raise ParseError("manifest nesting too deep") from None
     if not ast.statements:
         with _memo_lock:
@@ -532,6 +541,26 @@ def parse_manifest(text: str) -> ManifestAST:
             if len(_memo) > MANIFEST_MEMO_SIZE:
                 _memo.popitem(last=False)
     return ast
+
+
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _nesting(text: str) -> int:
+    """How deep the brackets of a JSON text nest, counted without recursion."""
+    depth = deepest = 0
+    for bracket in re.findall(r"[][{}]", _JSON_STRING.sub("", text)):
+        depth += 1 if bracket in "[{" else -1
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _stack_depth() -> int:
+    """How many Python frames are on the calling thread's stack."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def _parse_manifest(text: str) -> ManifestAST:
@@ -809,6 +838,7 @@ class _MergePlan:
     extensions: list[tuple[HostTypeDescriptor, tuple[MethodSpec, ...]]]  # existing type, new methods
     functions: list[FunctionSpec]
     globals: list[GlobalDecl]
+    layouts: dict[str, TypeLayout]  # new type name -> its checked layout
 
 
 def _check_quiescent(registry: Registry) -> None:
@@ -851,6 +881,9 @@ def eval_macro(registry: Registry, heap: Heap, text: str) -> MacroResult:
 
 
 def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
+    # the previous merge's unused layouts go before this one walks its own,
+    # so one merge's layouts at most are alive (a cache; nothing observable)
+    registry.hand_over_layouts({})
     for enum_name in ast.enums:
         if enum_name in registry.enums:
             raise ConflictError(f"enum {enum_name!r} already declared")
@@ -897,10 +930,13 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
         )
         new_types.append(desc)
 
-    # the walk checks bases and field shadowing; the layout itself is not kept
+    # the walk checks bases and field shadowing; its layouts wait for first use
     new_by_name = {d.qualified_name: d for d in new_types}
-    for desc in new_types:
-        walk_layout(desc, lambda name: new_by_name.get(name) or registry.find_type(name))
+    layouts = {
+        desc.qualified_name:
+            walk_layout(desc, lambda name: new_by_name.get(name) or registry.find_type(name))
+        for desc in new_types
+    }
 
     functions: list[FunctionSpec] = []
     for fn in ast.functions:
@@ -935,6 +971,7 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
         extensions=extensions,
         functions=functions,
         globals=globals_,
+        layouts=layouts,
     )
 
 
@@ -983,6 +1020,7 @@ def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> Non
         registry.ensure_namespace(path)
     for desc in plan.new_types:
         registry.declare("type", desc.qualified_name, desc)
+    registry.hand_over_layouts(plan.layouts)
     for desc, methods in plan.extensions:
         for m in methods:
             desc.methods.setdefault(m.name, OverloadSet(m.name)).signatures.append(m.signature)

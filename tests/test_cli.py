@@ -123,6 +123,22 @@ def test_script_recursion_through_a_host_call_is_a_script_error_at_any_stack_dep
         assert run_below(frames) == "ScriptRecursionError: script calls nested too deep\n", frames
 
 
+def test_script_recursion_through_evalmacro_is_a_script_error_at_any_stack_depth(tmp_path):
+    macro = json.dumps({"statements": [{"op": "ret", "value": {"op": "const", "value": 1}}]})
+    script = write(tmp_path, "s.rjs", f"let f = fn() {{ root.evalmacro({json.dumps(macro)}); f(); }}; f();")
+
+    def run_below(frames: int) -> str:
+        if frames:
+            return run_below(frames - 1)
+        diag = io.StringIO()
+        assert cmd_run(script, [], out=io.StringIO(), diag=diag) == 1
+        return diag.getvalue()
+
+    # the stack runs out inside the macro's parse: the script, not the macro, is at fault
+    for frames in range(24):
+        assert run_below(frames) == "ScriptRecursionError: script calls nested too deep\n", frames
+
+
 def test_sync_only_run_starts_no_worker_thread(tmp_path, sample_plugin, monkeypatch):
     script = write(tmp_path, "s.rjs", 'let h = root.TH1D("h", "t"); h.Fill(0.5); print(h.GetEntries());')
     before = set(threading.enumerate())

@@ -193,6 +193,30 @@ def test_same_field_from_two_unrelated_ancestors_rejected(registry, heap):
     assert registry.find_type("T") is None
 
 
+def test_a_new_types_ancestors_are_walked_once(registry, heap, monkeypatch):
+    chain = [{"name": "A0", "fields": [{"name": "a0", "kind": "i64"}]}]
+    chain += [{"name": f"A{i}", "bases": [f"A{i - 1}"]} for i in range(1, 10)]
+    merge(registry, parse_manifest(json.dumps({"types": chain})), heap)
+    registry.layout("A9")
+    lookups: list[str] = []
+    lookup = Registry.lookup
+
+    def counted(self, path):
+        lookups.append(path)
+        return lookup(self, path)
+
+    monkeypatch.setattr(Registry, "lookup", counted)
+    eval_macro(registry, heap, json.dumps({
+        "types": [{"name": "U", "bases": ["A9"], "fields": [{"name": "u", "kind": "f64"}]}],
+        "statements": [{"op": "ret", "value": {"op": "const", "value": 1}}],
+    }))
+    walked = len(lookups)
+    assert sorted(lookups) == sorted(f"A{i}" for i in range(10))  # each ancestor once
+    assert list(heap.objects[heap.construct("U")].storage) == ["a0", "u"]
+    assert registry.subtype_distance("U", "A0") == 10
+    assert len(lookups) == walked  # first use reads the layout the merge kept
+
+
 def test_merge_into_new_namespace_raises_no_not_found(registry, heap, monkeypatch):
     raised = []
     init = NotFound.__init__

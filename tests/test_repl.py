@@ -63,6 +63,19 @@ def test_runaway_recursion_renders_and_session_survives(session, bridge, sample_
     assert repl.active and repl.step("2+3") == "5\n"
 
 
+def test_recursion_through_evalmacro_renders_and_session_survives(session):
+    repl, _ = session
+    macro = json.dumps({"statements": [{"op": "ret", "value": {"op": "const", "value": 1}}]})
+    assert repl.step(f"let f = fn() {{ root.evalmacro({json.dumps(macro)}); f(); }};") == ""
+
+    def step_below(frames: int) -> str:
+        return step_below(frames - 1) if frames else repl.step("f();")
+
+    for frames in range(24):
+        assert step_below(frames) == "error: ScriptRecursionError: script calls nested too deep\n", frames
+    assert repl.active and repl.step("2+3") == "5\n"
+
+
 def test_async_callback_appears_after_explicit_pump(session, sample_plugin):
     repl, _ = session
     repl.step(f'root.loadlibrary("{sample_plugin}");')
