@@ -18,9 +18,9 @@ import functools
 import sys
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, Iterable, TextIO
 
-from .dispatcher import CallTask, Dispatcher, report_fault
+from .dispatcher import CallTask, Dispatcher, report_fault, run_call
 from .errors import (
     Ambiguous,
     ConversionError,
@@ -367,16 +367,13 @@ class Bridge:
     def resolve_overload(self, overloads: OverloadSet, args: list[Any]) -> ResolvedCall:
         """Split a trailing callable, then pick the unique minimum-cost overload."""
         args, callback = split_callback(args)
-        candidates = list(enumerate(overloads.signatures))
-        return self._score(overloads.name, candidates, args, callback)
+        index, signature, converted = self._score(overloads.name, enumerate(overloads.signatures), args)
+        return ResolvedCall(index, signature, converted, callback)
 
     def _score(
-        self,
-        name: str,
-        candidates: list[tuple[int, MethodSignature]],
-        args: list[Any],
-        callback: Callable[[Any], Any] | None,
-    ) -> ResolvedCall:
+        self, name: str, candidates: Iterable[tuple[int, MethodSignature]], args: list[Any]
+    ) -> tuple[int, MethodSignature, list[HostValue]]:
+        """(index, signature, converted args) of the unique cheapest candidate."""
         scored: list[tuple[int, int, MethodSignature, list[HostValue]]] = []
         for index, sig in candidates:
             if len(sig.params) != len(args):
@@ -400,78 +397,60 @@ class Bridge:
         if len(winners) > 1:
             listing = "; ".join(sig_str(name, s[2]) for s in winners)
             raise Ambiguous(f"call of {name!r} is ambiguous between: {listing}")
-        _, index, sig, converted = winners[0]
-        return ResolvedCall(index, sig, converted, callback)
+        return winners[0][1:]
 
     # -- invocation ---------------------------------------------------------------------
 
     def invoke(self, target: Any, args: list[Any]) -> Invocation:
         """Call a function set, construct a type, or call a method on a proxy.
 
-        Without a trailing callable the call executes inline and the
+        Every call is resolved here, whether or not it ends in a callable:
+        the target gives a name and candidate overloads, and `_score` picks
+        one. Without a trailing callable the call runs inline and the
         converted result is returned; with one, a task is submitted and
-        the fresh call id returned immediately.
+        the fresh call id returned immediately. Both run through
+        `dispatcher.run_call`.
         """
         self.dispatcher.check_domain("invoke")
+        args, callback = split_callback(args)
+        owner = construct_type = None
         match target:
             case FnRef(path):
                 overloads = self.registry.lookup(path)
                 if not isinstance(overloads, OverloadSet):
                     raise ScriptTypeError(f"{path!r} is not a function set")
-                resolved = self.resolve_overload(overloads, args)
-                return self._dispatch(None, None, resolved)
+                name, candidates = overloads.name, enumerate(overloads.signatures)
             case TypeRef(qualified):
-                return self._construct(qualified, args)
+                desc = self.registry.find_type(qualified)
+                if desc is None:
+                    raise ScriptNameError(f"unknown type {qualified!r}")
+                name = construct_type = qualified
+                if desc.constructors.signatures:
+                    candidates = enumerate(desc.constructors.signatures)
+                elif args:
+                    raise NoMatch(f"{qualified!r} has no constructors taking arguments")
+                else:
+                    candidates = None  # Heap.construct default-constructs
             case MethodRef(owner, type_name, name):
                 overloads = self.registry.method_set(type_name, name)
                 if overloads is None:
                     raise ScriptNameError(f"{type_name!r} has no method {name!r}")
+                candidates = enumerate(overloads.signatures)
                 if owner is None:
-                    static_only = [
-                        (i, s) for i, s in enumerate(overloads.signatures) if s.is_static
-                    ]
-                    if not static_only:
+                    candidates = [(i, s) for i, s in candidates if s.is_static]
+                    if not candidates:
                         raise NoMatch(f"method {type_name}.{name} requires an instance")
-                    call_args, callback = split_callback(args)
-                    resolved = self._score(name, static_only, call_args, callback)
-                    return self._dispatch(None, None, resolved)
-                resolved = self.resolve_overload(overloads, args)
-                self_addr = None if resolved.signature.is_static else owner.canonical
-                return self._dispatch(self_addr, None, resolved)
             case _:
                 raise ScriptTypeError(f"{_script_kind_name(target)} is not callable")
-
-    def _construct(self, qualified: str, args: list[Any]) -> Invocation:
-        desc = self.registry.find_type(qualified)
-        if desc is None:
-            raise ScriptNameError(f"unknown type {qualified!r}")
-        call_args, callback = split_callback(args)
-        if desc.constructors.signatures:
-            resolved = self._score(
-                qualified, list(enumerate(desc.constructors.signatures)), call_args, callback
-            )
-        elif call_args:
-            raise NoMatch(f"{qualified!r} has no constructors taking arguments")
-        else:  # default construction: the declared field initials, no body
-            resolved = ResolvedCall(0, MethodSignature(()), [], callback)
-        return self._dispatch(None, qualified, resolved)
-
-    def _dispatch(
-        self, self_addr: int | None, construct_type: str | None, resolved: ResolvedCall
-    ) -> Invocation:
-        if resolved.callback is not None:
-            task = CallTask(
-                target=self_addr,
-                signature=resolved.signature,
-                args=resolved.converted,
-                construct_type=construct_type,
-            )
-            call_id = self.dispatcher.submit(task, resolved.callback)
-            return Invocation(call_id)
-        if construct_type is not None:
-            address = self.heap.construct(construct_type, resolved.converted, resolved.signature)
-            return Invocation(None, self.factory.proxy_for(self.heap, address))
-        outcome = self.heap.exec_body(self_addr, resolved.signature, resolved.converted)
+        if candidates is None:
+            signature, converted = None, []
+        else:
+            _, signature, converted = self._score(name, candidates, args)
+        self_addr = owner.canonical if owner is not None and not signature.is_static else None
+        if callback is not None:
+            task = CallTask(self_addr, signature, converted, construct_type)
+            return Invocation(self.dispatcher.submit(task, callback))
+        outcome = run_call(self.heap, self_addr, signature, converted, construct_type)
         return Invocation(None, self.to_script(outcome))
 
     # -- member access (used by the script evaluator) ---------------------------------------

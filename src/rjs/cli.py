@@ -17,9 +17,6 @@ from typing import TextIO
 
 from .bridge import Bridge
 from .errors import RjsError
-from .heap import Heap
-from .model import Registry
-from .registry import merge, parse_manifest
 from .repl import ReplSession, render_tree
 from .script import Interpreter, parse
 
@@ -105,21 +102,14 @@ def cmd_repl(
 def cmd_inspect(plugins: list[str], out: TextIO | None = None, diag: TextIO | None = None) -> int:
     out = out if out is not None else sys.stdout
     diag = diag if diag is not None else sys.stderr
-    registry = Registry()
-    heap = Heap(registry)
-    for path in plugins:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            merge(registry, parse_manifest(text), heap)
-        except OSError as exc:
-            diag.write(f"plugin {path}: cannot read: {exc}\n")
+    bridge = Bridge(diag=diag)
+    try:
+        if not _load_plugins(bridge, plugins, diag):
             return 1
-        except RjsError as exc:
-            diag.write(f"plugin {path}: {type(exc).__name__}: {exc}\n")
-            return 1
-    out.write(render_tree(registry))
-    return 0
+        out.write(render_tree(bridge.registry))
+        return 0
+    finally:
+        bridge.shutdown()
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -57,11 +57,9 @@ class CallTask:
     """One unit of asynchronous work.
 
     Either `construct_type` is set (worker constructs an instance and runs
-    `signature` as its constructor; the bridge passes an empty signature
-    for a type without constructors, and None lets `Heap.construct` pick
-    an exact match) or `signature` alone is set (worker executes the body
-    against `target`, which is the canonical self address or None for
-    static/free calls).
+    `signature` as its constructor; see `Heap.construct` for None) or
+    `signature` alone is set (worker executes the body against `target`,
+    which is the canonical self address or None for static/free calls).
     """
 
     target: int | None = None
@@ -70,6 +68,20 @@ class CallTask:
     construct_type: str | None = None
     call_id: int = 0  # stamped by submit
     submitted_at: float = 0.0
+
+
+def run_call(
+    heap: Heap,
+    target: int | None,
+    signature: MethodSignature | None,
+    args: list[HostValue],
+    construct_type: str | None,
+) -> HostValue:
+    """Run one resolved call, inline or on a worker: the fields of a `CallTask`."""
+    if construct_type is not None:
+        return ref(heap.construct(construct_type, args, signature))
+    assert signature is not None
+    return heap.exec_body(target, signature, args)
 
 
 @dataclass
@@ -149,11 +161,7 @@ class Dispatcher:
             self._completions.put(Completion(task.call_id, outcome, fault))
 
     def _execute(self, task: CallTask) -> HostValue:
-        if task.construct_type is not None:
-            address = self.heap.construct(task.construct_type, task.args, task.signature)
-            return ref(address)
-        assert task.signature is not None
-        return self.heap.exec_body(task.target, task.signature, task.args)
+        return run_call(self.heap, task.target, task.signature, task.args, task.construct_type)
 
     # -- interpreter-domain pump -----------------------------------------------
 

@@ -128,10 +128,10 @@ class Heap:
     ) -> int:
         """Allocate an instance, apply declared field initials, run the ctor body.
 
-        The bridge passes the resolved constructor signature; host-side
-        callers (the New expression) leave it None and an exact-kind match
-        is selected here. An empty constructor set with no arguments means
-        default construction.
+        The bridge passes the resolved constructor signature. With None, a
+        type that declares constructors runs the exact-kind match for
+        `args` (the host New expression), and a type that declares none is
+        default-constructed: field initials only, and no arguments allowed.
         """
         args = args or []
         layout = self.registry.layout(type_name)

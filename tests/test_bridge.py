@@ -25,6 +25,7 @@ from rjs.errors import (
     NoMatch,
     NotQuiescent,
     PrecisionError,
+    RjsError,
     ScriptNameError,
     ScriptTypeError,
 )
@@ -480,6 +481,105 @@ def test_async_default_construction_sets_field_initials(bridge):
     assert len(got) == 1 and isinstance(got[0], Proxy) and got[0].type_name == "T"
     assert bridge.heap.objects[got[0].canonical].storage == {"x": f64(1.5), "s": cstr("hi")}
     assert bridge.async_faults == []
+
+
+def _param(index: int) -> dict:
+    return {"op": "param", "index": index}
+
+
+def _const(value) -> dict:
+    return {"op": "const", "value": value}
+
+
+CALL_KINDS = json.dumps({
+    "functions": [
+        {"name": "Twice", "params": ["f64"], "returns": "f64",
+         "body": [{"op": "ret", "value": {"op": "bin", "o": "+", "l": _param(0), "r": _param(0)}}]},
+        {"name": "Twice", "params": ["cstr"], "returns": "cstr",
+         "body": [{"op": "ret", "value": _param(0)}]},
+        {"name": "Tie", "params": ["i64", "f64"], "returns": "i64", "body": [{"op": "ret", "value": _const(1)}]},
+        {"name": "Tie", "params": ["f64", "i64"], "returns": "i64", "body": [{"op": "ret", "value": _const(2)}]},
+    ],
+    "types": [
+        {"name": "Acc",
+         "fields": [{"name": "n", "kind": "i64", "initial": 7}, {"name": "s", "kind": "cstr", "initial": "s"}],
+         "ctors": [{"params": ["i64"], "body": [{"op": "set", "field": "n", "value": _param(0)}]},
+                   {"params": ["cstr"], "body": [{"op": "set", "field": "s", "value": _param(0)}]}],
+         "methods": [
+             {"name": "Add", "params": ["i64"], "returns": "i64", "body": [
+                 {"op": "set", "field": "n",
+                  "value": {"op": "bin", "o": "+", "l": {"op": "get", "field": "n"}, "r": _param(0)}},
+                 {"op": "ret", "value": {"op": "get", "field": "n"}}]},
+             {"name": "Make", "static": True, "params": ["i64"], "returns": {"obj": "Acc"},
+              "body": [{"op": "ret", "value": {"op": "new", "type": "Acc", "args": [_param(0)]}}]},
+         ]},
+        {"name": "Plain", "fields": [{"name": "x", "kind": "f64", "initial": 1.5}]},
+    ],
+})
+
+#: (label, target maker given a receiver proxy, arguments)
+CALL_KIND_CASES = [
+    ("free function", lambda acc: FnRef("Twice"), [2.5]),
+    ("free function, second overload", lambda acc: FnRef("Twice"), ["x"]),
+    ("static through a type", lambda acc: MethodRef(None, "Acc", "Make"), [3.0]),
+    ("static through a proxy", lambda acc: MethodRef(acc, "Acc", "Make"), [4.0]),
+    ("instance method", lambda acc: MethodRef(acc, "Acc", "Add"), [2.0]),
+    ("constructor, i64 overload", lambda acc: TypeRef("Acc"), [9.0]),
+    ("constructor, cstr overload", lambda acc: TypeRef("Acc"), ["t"]),
+    ("default construction", lambda acc: TypeRef("Plain"), []),
+]
+
+CALL_FAULT_CASES = [
+    ("no overload matches", lambda acc: FnRef("Twice"), [True]),
+    ("ambiguous", lambda acc: FnRef("Tie"), [1.0, 1.0]),
+    ("requires an instance", lambda acc: MethodRef(None, "Acc", "Add"), [1.0]),
+    ("unknown method", lambda acc: MethodRef(acc, "Acc", "Nope"), []),
+    ("unknown type", lambda acc: TypeRef("Nope"), []),
+    ("arguments to a default constructor", lambda acc: TypeRef("Plain"), [1.0]),
+    ("not a function set", lambda acc: FnRef("Acc"), []),
+]
+
+
+def _outcome(bridge, value):
+    """What a call's value shows: a proxy by type and heap storage, else itself."""
+    if isinstance(value, Proxy):
+        return value.type_name, bridge.heap.objects[value.canonical].storage
+    return value
+
+
+def _receiver(bridge):
+    load(bridge, CALL_KINDS)
+    return bridge.invoke(TypeRef("Acc"), [3.0]).value
+
+
+@pytest.mark.parametrize("label,make,args", CALL_KIND_CASES, ids=[c[0] for c in CALL_KIND_CASES])
+def test_sync_and_async_invoke_give_the_same_value(bridge, label, make, args):
+    other = Bridge(workers=2, diag=io.StringIO())
+    try:
+        acc_sync, acc_async = _receiver(bridge), _receiver(other)
+        sync = bridge.invoke(make(acc_sync), list(args))
+        got: list = []
+        pending = other.invoke(make(acc_async), [*args, got.append])
+        assert not sync.pending and pending.pending
+        assert other.dispatcher.drain(2000)
+        assert other.async_faults == [] and len(got) == 1
+        assert _outcome(other, got[0]) == _outcome(bridge, sync.value)
+        assert _outcome(other, acc_async) == _outcome(bridge, acc_sync)
+    finally:
+        other.shutdown()
+
+
+@pytest.mark.parametrize("label,make,args", CALL_FAULT_CASES, ids=[c[0] for c in CALL_FAULT_CASES])
+def test_resolution_faults_raise_at_invoke_with_or_without_a_callback(bridge, label, make, args):
+    acc = _receiver(bridge)
+    with pytest.raises(RjsError) as sync:
+        bridge.invoke(make(acc), list(args))
+    got: list = []
+    with pytest.raises(RjsError) as with_callback:
+        bridge.invoke(make(acc), [*args, got.append])
+    assert type(with_callback.value) is type(sync.value)
+    assert str(with_callback.value) == str(sync.value)
+    assert bridge.dispatcher.pending_count() == 0 and got == []
 
 
 # -- member access ---------------------------------------------------------------------

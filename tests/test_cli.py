@@ -212,6 +212,19 @@ def test_inspect_conflicting_plugins_exits_1(tmp_path):
     assert "ConflictError" in diag.getvalue()
 
 
+def test_inspect_unreadable_plugin_exits_1_with_the_run_line(tmp_path):
+    missing = str(tmp_path / "absent.plugin")
+    script = write(tmp_path, "s.rjs", 'print("must not run");')
+    inspect_out, inspect_diag, run_diag = io.StringIO(), io.StringIO(), io.StringIO()
+    assert cmd_inspect([missing], out=inspect_out, diag=inspect_diag) == 1
+    assert cmd_run(script, [missing], out=io.StringIO(), diag=run_diag) == 1
+    assert inspect_out.getvalue() == ""
+    line = inspect_diag.getvalue()
+    assert line.startswith(f"plugin {missing}: LoadError: cannot read plugin {missing!r}: ")
+    assert line.count("\n") == 1 and line.endswith("\n")
+    assert line == run_diag.getvalue()
+
+
 def test_repl_session_flow(sample_plugin):
     stdin = io.StringIO(".tree\n1+1\n.quit\n")
     out = io.StringIO()
