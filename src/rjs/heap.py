@@ -299,12 +299,23 @@ class Heap:
             raise HostExecError(str(exc)) from exc
 
     def _coerce_return(self, declared: ValueKind, value: HostValue) -> HostValue:
+        """A return slot takes what a store of its kind takes (`_kind_fault`)."""
         value = self._implicit(declared, value)
-        if declared.tag != value.tag:
-            raise HostExecError(f"body returned {value.tag}, signature declares {kind_str(declared)}")
-        if declared.tag == TAG_ENUM and value.enum_name != declared.name:
-            raise HostExecError(f"body returned enum {value.enum_name}, expected {declared.name}")
-        return value
+        if value.tag == declared.tag and declared.name is None:
+            return value  # a scalar kind of the value's own tag fits
+        with self._lock:
+            fault = self._kind_fault(declared, value, "body return")
+            if fault is None:
+                return value
+            if declared.tag != value.tag:
+                got = value.tag
+            elif declared.tag == TAG_ENUM and value.enum_name != declared.name:
+                raise HostExecError(f"body returned enum {value.enum_name}, expected {declared.name}")
+            elif declared.tag == TAG_OBJ and isinstance(fault, KindMismatch):  # an unrelated type
+                got = self.objects[self.aliases[value.value]].type_name  # type: ignore[index]
+            else:  # a dangling handle, or an integer no enumerator has
+                raise HostExecError(str(fault))
+        raise HostExecError(f"body returned {got}, signature declares {kind_str(declared)}")
 
     def _set_global(self, qualified: str, value: HostValue, create: bool) -> None:
         decl = self.registry.find_global(qualified)

@@ -598,14 +598,6 @@ class Registry:
             if not isinstance(existing, NamespaceNode):
                 raise ConflictError(f"{walked!r} already declared as a {category(existing)}")
 
-    def ensure_namespace(self, path: str) -> None:
-        self.check_namespace_path(path)
-        walked = ""
-        for part in split_path(path):
-            walked = join_path(walked, part)
-            if walked not in self.entries:
-                self.declare("namespace", walked, NamespaceNode(part))
-
     def declare_global(self, qualified: str, kind: ValueKind, initial: HostValue) -> GlobalDecl:
         """Macro support: register a global without bumping the version."""
         namespace, _, name = qualified.rpartition(".")

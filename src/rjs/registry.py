@@ -17,6 +17,7 @@ parsed on every call.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 import threading
@@ -50,6 +51,7 @@ from .model import (
     HostTypeDescriptor,
     HostValue,
     MethodSignature,
+    NamespaceNode,
     New,
     OverloadSet,
     Param,
@@ -73,7 +75,6 @@ from .model import (
     ref,
     sig_str,
     split_path,
-    strobj,
     walk_layout,
 )
 
@@ -159,6 +160,13 @@ class ManifestAST:
     functions: tuple[FunctionSpec, ...] = ()
     globals: tuple[GlobalSpec, ...] = ()
     statements: tuple[Stmt, ...] = ()
+
+    @property
+    def namespace_paths(self) -> tuple[str, ...]:
+        """Every namespace path the manifest implies: the declared ones, then
+        each declaration's home, first occurrence only."""
+        homes = (spec.namespace for spec in (*self.types, *self.functions, *self.globals))
+        return tuple(dict.fromkeys((*self.namespaces, *filter(None, homes))))
 
 
 @dataclass(frozen=True)
@@ -415,23 +423,19 @@ def _parse_callable(raw: dict, what: str, is_static: bool) -> MethodSignature:
     return MethodSignature(params, returns, is_static, body)
 
 
+#: the initial of a declaration that gives none; an enum kind must give one
+_DEFAULT_INITIAL = {"i64": 0, "f64": 0.0, "bool": False, "cstr": "", "str": "", "obj": None}
+
+
 def _normalize_initial(kind: ValueKind, raw: object, present: bool, what: str) -> object:
-    """Defaults for absent initials; type-check the JSON shape of present ones."""
+    """Defaults for absent initials; type-check the JSON shape of present ones.
+
+    `parse_kind` has already rejected void, so every kind here is storable.
+    """
     if not present:
-        match kind.tag:
-            case "i64":
-                return 0
-            case "f64":
-                return 0.0
-            case "bool":
-                return False
-            case "cstr" | "str":
-                return ""
-            case "enum":
-                raise ValidationError(f"{what}: enum-kind declarations require an initial")
-            case "obj":
-                return None
-        raise ValidationError(f"{what}: kind {kind} cannot be stored")
+        if kind.tag == TAG_ENUM:
+            raise ValidationError(f"{what}: enum-kind declarations require an initial")
+        return _DEFAULT_INITIAL[kind.tag]
     match kind.tag:
         case "i64":
             if isinstance(raw, bool) or not isinstance(raw, int):
@@ -457,50 +461,42 @@ def _normalize_initial(kind: ValueKind, raw: object, present: bool, what: str) -
                     f"{what}: enum initial must be an enumerator name or integer value"
                 )
             return raw
-        case "obj":
+        case _:  # obj
             if raw is not None:
                 raise ValidationError(f"{what}: object initials must be null")
             return None
-    raise ValidationError(f"{what}: kind {kind} cannot be stored")
 
 
 def _resolve_initial(
     kind: ValueKind, raw: object, enums: dict[str, dict[str, int]], what: str
 ) -> HostValue:
     """Raw normalized initial -> HostValue, with enum names resolved."""
-    match kind.tag:
-        case "i64":
-            return i64(raw)  # type: ignore[arg-type]
-        case "f64":
-            return f64(raw)  # type: ignore[arg-type]
-        case "bool":
-            return boolean(raw)  # type: ignore[arg-type]
-        case "cstr":
-            return cstr(raw)  # type: ignore[arg-type]
-        case "str":
-            return strobj(raw)  # type: ignore[arg-type]
-        case "obj":
-            return ref(0)
-        case "enum":
-            table = enums.get(kind.name or "")
-            if table is None:
-                raise ValidationError(f"{what}: unknown enum {kind.name!r}")
-            if isinstance(raw, str):
-                if raw not in table:
-                    raise ValidationError(f"{what}: {raw!r} is not an enumerator of {kind.name}")
-                return enumval(kind.name or "", table[raw])
-            if raw in table.values():
-                return enumval(kind.name or "", raw)  # type: ignore[arg-type]
-            raise ValidationError(f"{what}: {raw} is not an enumerator value of {kind.name}")
-    raise ValidationError(f"{what}: kind {kind} cannot be stored")
+    if kind.tag == TAG_OBJ:
+        return ref(0)
+    if kind.tag != TAG_ENUM:
+        return HostValue(kind.tag, raw)
+    _check_enums(enums, what, (kind,))
+    table = enums[kind.name or ""]
+    if isinstance(raw, str):
+        if raw not in table:
+            raise ValidationError(f"{what}: {raw!r} is not an enumerator of {kind.name}")
+        return enumval(kind.name or "", table[raw])
+    if raw in table.values():
+        return enumval(kind.name or "", raw)  # type: ignore[arg-type]
+    raise ValidationError(f"{what}: {raw} is not an enumerator value of {kind.name}")
 
 
 # ---------------------------------------------------------------------------
 # parse_manifest / serialize_manifest
 # ---------------------------------------------------------------------------
 
-def _reject_nonfinite(token: str) -> float:
-    raise ValidationError(f"non-finite number {token!r} is not a valid constant")
+def _finite(token: str) -> float:
+    """JSON number hook: Infinity, NaN and numbers too large for binary64
+    never enter host values."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite number {token!r} is not a valid constant")
+    return value
 
 
 #: How many plugin texts `parse_manifest` keeps parsed, least recently used
@@ -565,8 +561,7 @@ def _stack_depth() -> int:
 
 def _parse_manifest(text: str) -> ManifestAST:
     try:
-        # strict JSON: the Infinity/NaN extensions never enter host values
-        data = json.loads(text, parse_constant=_reject_nonfinite)
+        data = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(data, dict):
@@ -719,17 +714,10 @@ def _check_distinguishable(named: list[tuple[str, MethodSignature]], what: str) 
 def _validate_manifest(ast: ManifestAST) -> None:
     """Cross-declaration checks: the four categories stay disjoint per node."""
     ns_children: dict[str, set[str]] = {}
-
-    def note_namespace(path: str) -> None:
+    for path in ast.namespace_paths:
         parts = split_path(path)
         for i, part in enumerate(parts):
             ns_children.setdefault(".".join(parts[:i]), set()).add(part)
-
-    for path in ast.namespaces:
-        note_namespace(path)
-    for spec in (*ast.types, *ast.functions, *ast.globals):
-        if spec.namespace:
-            note_namespace(spec.namespace)
 
     def claim(category: str, namespace: str, name: str, table: dict[tuple[str, str], str]):
         if name in ns_children.get(namespace, set()):
@@ -832,11 +820,11 @@ def _global_to_json(g: GlobalSpec) -> dict:
 
 @dataclass
 class _MergePlan:
-    namespaces: list[str]
+    namespaces: tuple[str, ...]
     enums: dict[str, dict[str, int]]
     new_types: list[HostTypeDescriptor]
     extensions: list[tuple[HostTypeDescriptor, tuple[MethodSpec, ...]]]  # existing type, new methods
-    functions: list[FunctionSpec]
+    functions: tuple[FunctionSpec, ...]
     globals: list[GlobalDecl]
     layouts: dict[str, TypeLayout]  # new type name -> its checked layout
 
@@ -858,10 +846,7 @@ def merge(registry: Registry, ast: ManifestAST, heap: Heap | None = None) -> int
     _check_quiescent(registry)
     if ast.statements:
         raise ValidationError("statement lists are macro-only; use eval_macro")
-    plan = _plan_merge(registry, ast)
-    _apply_merge(registry, plan, heap)
-    registry.version += 1
-    return registry.version
+    return _fold(registry, ast, heap)
 
 
 def eval_macro(registry: Registry, heap: Heap, text: str) -> MacroResult:
@@ -873,14 +858,20 @@ def eval_macro(registry: Registry, heap: Heap, text: str) -> MacroResult:
     """
     ast = parse_manifest(text)
     _check_quiescent(registry)
-    plan = _plan_merge(registry, ast)
-    _apply_merge(registry, plan, heap)
-    registry.version += 1
+    _fold(registry, ast, heap)
     value = heap.run_macro_statements(ast.statements)
     return MacroResult(registry.version, value)
 
 
+def _fold(registry: Registry, ast: ManifestAST, heap: Heap | None) -> int:
+    """Plan, apply, bump the version: the declaration half of merge and eval_macro."""
+    _apply_merge(registry, _plan_merge(registry, ast), heap)
+    registry.version += 1
+    return registry.version
+
+
 def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
+    """Check every declaration against the registry; mutates nothing but the layout cache."""
     # the previous merge's unused layouts go before this one walks its own,
     # so one merge's layouts at most are alive (a cache; nothing observable)
     registry.hand_over_layouts({})
@@ -889,14 +880,7 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
             raise ConflictError(f"enum {enum_name!r} already declared")
     enums_overlay = {**registry.enums, **ast.enums}
 
-    namespace_paths: list[str] = []
-    for path in ast.namespaces:
-        if path not in namespace_paths:
-            namespace_paths.append(path)
-    for spec in (*ast.types, *ast.functions, *ast.globals):
-        if spec.namespace and spec.namespace not in namespace_paths:
-            namespace_paths.append(spec.namespace)
-    for path in namespace_paths:
+    for path in ast.namespace_paths:
         registry.check_namespace_path(path)
 
     # types: split into fresh declarations and method-only extensions
@@ -907,12 +891,20 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
         if isinstance(existing, HostTypeDescriptor):
             if not t.is_extension:
                 raise ConflictError(f"type {t.qualified!r} already declared")
-            _check_extension(existing, t)
+            for m in t.methods:
+                _check_overload(existing.methods.get(m.name), "method",
+                                f"{t.qualified}.{m.name}", m.signature)
             extensions.append((existing, t.methods))
             continue
         if existing is not None:
             raise ConflictError(f"{t.qualified!r} already declared as a {category(existing)}")
-        _check_kind_references(t, enums_overlay)
+        what = f"type {t.qualified}"
+        for f in t.fields:
+            _check_enums(enums_overlay, f"{what} field {f.name}", (f.kind,))
+        for m in t.methods:
+            _check_enums(enums_overlay, f"{what} method {m.name}", _kinds(m.signature))
+        for c in t.ctors:
+            _check_enums(enums_overlay, f"{what} constructor", _kinds(c))
         desc = HostTypeDescriptor(
             qualified_name=t.qualified,
             bases=t.bases,
@@ -920,12 +912,11 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
                 FieldDecl(
                     f.name,
                     f.kind,
-                    _resolve_initial(f.kind, f.initial_raw, enums_overlay,
-                                     f"type {t.qualified} field {f.name}"),
+                    _resolve_initial(f.kind, f.initial_raw, enums_overlay, f"{what} field {f.name}"),
                 )
                 for f in t.fields
             ],
-            methods=_build_method_sets(t.methods),
+            methods=_add_methods({}, t.methods),
             constructors=OverloadSet("(ctor)", list(t.ctors)),
         )
         new_types.append(desc)
@@ -938,76 +929,57 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
         for desc in new_types
     }
 
-    functions: list[FunctionSpec] = []
+    # `parse_manifest` has rejected overloads that collide within the manifest
     for fn in ast.functions:
         existing = registry.entries.get(fn.qualified)
         if existing is not None and not isinstance(existing, OverloadSet):
             raise ConflictError(f"{fn.qualified!r} already declared as a {category(existing)}")
-        if isinstance(existing, OverloadSet):
-            planned = [p.signature for p in functions if p.qualified == fn.qualified]
-            for sig in (*existing.signatures, *planned):
-                if _sig_key(sig) == _sig_key(fn.signature):
-                    raise ConflictError(
-                        f"function {sig_str(fn.qualified, fn.signature)} is "
-                        f"indistinguishable from an existing overload"
-                    )
-        _check_signature_enums(fn.signature, enums_overlay, f"function {fn.qualified}")
-        functions.append(fn)
+        _check_overload(existing, "function", fn.qualified, fn.signature)
+        _check_enums(enums_overlay, f"function {fn.qualified}", _kinds(fn.signature))
 
     globals_: list[GlobalDecl] = []
     for g in ast.globals:
         existing = registry.entries.get(g.qualified)
         if existing is not None:
             raise ConflictError(f"{g.qualified!r} already declared as a {category(existing)}")
-        if g.kind.tag == TAG_ENUM and (g.kind.name or "") not in enums_overlay:
-            raise ValidationError(f"global {g.qualified}: unknown enum {g.kind.name!r}")
         initial = _resolve_initial(g.kind, g.initial_raw, enums_overlay, f"global {g.qualified}")
         globals_.append(GlobalDecl(g.name, g.qualified, g.kind, initial))
 
     return _MergePlan(
-        namespaces=namespace_paths,
+        namespaces=ast.namespace_paths,
         enums=ast.enums,
         new_types=new_types,
         extensions=extensions,
-        functions=functions,
+        functions=ast.functions,
         globals=globals_,
         layouts=layouts,
     )
 
 
-def _check_extension(existing: HostTypeDescriptor, spec: TypeSpec) -> None:
-    for m in spec.methods:
-        current = existing.methods.get(m.name)
-        if current is None:
-            continue
-        for sig in current.signatures:
-            if _sig_key(sig) == _sig_key(m.signature):
-                raise ConflictError(
-                    f"method {sig_str(f'{existing.qualified_name}.{m.name}', m.signature)} "
-                    f"is indistinguishable from an existing overload"
-                )
-
-
-def _check_kind_references(t: TypeSpec, enums: dict[str, dict[str, int]]) -> None:
-    for f in t.fields:
-        if f.kind.tag == TAG_ENUM and (f.kind.name or "") not in enums:
-            raise ValidationError(f"type {t.qualified} field {f.name}: unknown enum {f.kind.name!r}")
-    for m in t.methods:
-        _check_signature_enums(m.signature, enums, f"type {t.qualified} method {m.name}")
-    for c in t.ctors:
-        _check_signature_enums(c, enums, f"type {t.qualified} constructor")
-
-
-def _check_signature_enums(
-    sig: MethodSignature, enums: dict[str, dict[str, int]], what: str
+def _check_overload(
+    overloads: OverloadSet | None, label: str, qualified: str, sig: MethodSignature
 ) -> None:
-    for kind in (*sig.params, sig.returns):
+    """ConflictError if `sig` has the parameter kinds of an overload already declared."""
+    if overloads is not None and any(_sig_key(s) == _sig_key(sig) for s in overloads.signatures):
+        raise ConflictError(
+            f"{label} {sig_str(qualified, sig)} is indistinguishable from an existing overload"
+        )
+
+
+def _kinds(sig: MethodSignature) -> tuple[ValueKind, ...]:
+    return (*sig.params, sig.returns)
+
+
+def _check_enums(enums: dict[str, dict[str, int]], what: str, kinds: tuple[ValueKind, ...]) -> None:
+    """ValidationError for the first of `kinds` that names an unknown enum."""
+    for kind in kinds:
         if kind.tag == TAG_ENUM and (kind.name or "") not in enums:
             raise ValidationError(f"{what}: unknown enum {kind.name!r}")
 
 
-def _build_method_sets(methods: tuple[MethodSpec, ...]) -> dict[str, OverloadSet]:
-    sets: dict[str, OverloadSet] = {}
+def _add_methods(
+    sets: dict[str, OverloadSet], methods: tuple[MethodSpec, ...]
+) -> dict[str, OverloadSet]:
     for m in methods:
         sets.setdefault(m.name, OverloadSet(m.name)).signatures.append(m.signature)
     return sets
@@ -1016,14 +988,17 @@ def _build_method_sets(methods: tuple[MethodSpec, ...]) -> dict[str, OverloadSet
 def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> None:
     for name, table in plan.enums.items():
         registry.enums[name] = dict(table)
-    for path in plan.namespaces:
-        registry.ensure_namespace(path)
+    for path in plan.namespaces:  # the plan has checked every existing prefix
+        walked = ""
+        for part in split_path(path):
+            walked = join_path(walked, part)
+            if walked not in registry.entries:
+                registry.declare("namespace", walked, NamespaceNode(part))
     for desc in plan.new_types:
         registry.declare("type", desc.qualified_name, desc)
     registry.hand_over_layouts(plan.layouts)
     for desc, methods in plan.extensions:
-        for m in methods:
-            desc.methods.setdefault(m.name, OverloadSet(m.name)).signatures.append(m.signature)
+        _add_methods(desc.methods, methods)
     for fn in plan.functions:
         overloads = registry.entries.get(fn.qualified)
         if overloads is None:  # only the first overload adds a name

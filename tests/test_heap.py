@@ -25,6 +25,7 @@ from rjs.model import (
     Builtin,
     Const,
     ExprStmt,
+    GetField,
     K_CSTR,
     K_F64,
     K_I64,
@@ -391,6 +392,29 @@ def test_return_widens_like_a_store_and_rejects_other_kinds(world):
     narrowed = MethodSignature((), K_I64, True, (Return(Const(f64(2.0))),))
     with pytest.raises(HostExecError, match="body returned f64, signature declares i64"):
         heap.exec_body(None, narrowed, [])
+
+
+def test_object_return_slot_takes_what_an_object_field_takes(world):
+    registry, heap = world
+    merge(registry, parse_manifest(json.dumps({"types": [
+        {"name": "NodeA"},
+        {"name": "NodeB", "bases": ["NodeA"]},
+        {"name": "Other"},
+        {"name": "Holder", "fields": [{"name": "slot", "kind": {"obj": "NodeA"}}]},
+    ]})), heap)
+    slot = obj_kind("NodeA")
+
+    def returning(value) -> MethodSignature:
+        return MethodSignature((), slot, value is not None, (Return(value or GetField("slot")),))
+
+    derived = heap.exec_body(None, returning(New("NodeB", ())), [])
+    assert heap.objects[heap.normalize(derived.value)].type_name == "NodeB"
+    assert heap.exec_body(heap.construct("Holder"), returning(None), []) == ref(0)
+    unrelated = returning(New("Other", ()))
+    with pytest.raises(HostExecError, match=r"^body returned Other, signature declares NodeA$"):
+        heap.exec_body(None, unrelated, [])
+    with pytest.raises(KindMismatch, match="field Holder.slot expects NodeA, got Other"):
+        heap.write_field(heap.construct("Holder"), "slot", ref(heap.construct("Other")))
 
 
 def test_missing_return_in_non_void_body_faults(world):

@@ -184,6 +184,12 @@ def test_nonfinite_json_constants_rejected():
         parse_manifest(bad)
     with pytest.raises(ValidationError, match="non-finite"):
         parse_manifest('{"globals": [{"name": "g", "kind": "f64", "initial": NaN}]}')
+    for number in ("1e400", "-1e400"):  # finite tokens that overflow binary64
+        message = f"^non-finite number '{number}' is not a valid constant$"
+        with pytest.raises(ValidationError, match=message):
+            parse_manifest(bad.replace("Infinity", number))
+        with pytest.raises(ValidationError, match=message):
+            parse_manifest(f'{{"globals": [{{"name": "g", "kind": "f64", "initial": {number}}}]}}')
 
 
 def test_const_parsing_distinguishes_int_and_float():
@@ -211,6 +217,13 @@ def test_statement_shapes():
 
 _ident = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
 _kind = st.sampled_from(["i64", "f64", "bool", "cstr", "str"])
+_scalar_initial = {
+    "i64": st.integers(-(2**63), 2**63 - 1),
+    "f64": st.floats(allow_nan=False, allow_infinity=False),
+    "bool": st.booleans(),
+    "cstr": _ident,
+    "str": _ident,
+}
 
 
 @st.composite
@@ -221,6 +234,48 @@ def _manifests(draw) -> str:
     out: dict = {}
     if ns_names:
         out["namespaces"] = [f"ns_{n}" for n in ns_names]
+    enums = {
+        f"E_{name}": table
+        for name, table in draw(st.dictionaries(
+            _ident, st.dictionaries(_ident, st.integers(-3, 3), min_size=1, max_size=3),
+            max_size=2)).items()
+    }
+    if enums:
+        out["enums"] = enums
+    # a kind may name an enum or a type this manifest does not declare: merge checks those
+    type_names = [f"T_{name}" for name in rest] + ["Ext.Thing"]
+    any_kind = st.one_of(
+        _kind,
+        st.sampled_from([*enums, "E_elsewhere"]).map(lambda e: {"enum": e}),
+        st.sampled_from(type_names).map(lambda t: {"obj": t}),
+    )
+
+    def field(name: str) -> dict:
+        kind = draw(any_kind)
+        entry = {"name": name, "kind": kind}
+        if isinstance(kind, dict) and "enum" in kind:  # by name or by value
+            table = enums.get(kind["enum"], {"x": 0})
+            entry["initial"] = draw(st.sampled_from([*table, *table.values()]))
+        elif isinstance(kind, str) and draw(st.booleans()):
+            entry["initial"] = draw(_scalar_initial[kind])
+        elif isinstance(kind, dict) and draw(st.booleans()):
+            entry["initial"] = None
+        return entry
+
+    def body(arity: int, instance: bool) -> list:
+        value = draw(st.sampled_from(
+            [{"op": "const", "value": 1.5}]
+            + [{"op": "param", "index": i} for i in range(arity)]
+            + ([{"op": "self"}, {"op": "get", "field": "f0"}] if instance else [])))
+        steps = [[], [{"op": "ret"}], [{"op": "ret", "value": value}]]
+        if instance:
+            steps.append([{"op": "set", "field": "f0", "value": value}])
+        return draw(st.sampled_from(steps))
+
+    def signatures(count: int) -> list[list]:
+        params = draw(st.lists(st.lists(any_kind, max_size=2), max_size=count))
+        return [p for i, p in enumerate(params) if p not in params[:i]]  # distinguishable
+
     types = []
     functions = []
     globals_ = []
@@ -228,11 +283,27 @@ def _manifests(draw) -> str:
         bucket = draw(st.integers(0, 2))
         namespace = draw(st.sampled_from([""] + [f"ns_{n}" for n in ns_names])) if ns_names else ""
         if bucket == 0:
-            fields = [
-                {"name": f"f{j}", "kind": draw(_kind)}
-                for j in range(draw(st.integers(0, 3)))
-            ]
-            types.append({"name": f"T_{name}", "namespace": namespace, "fields": fields})
+            spec: dict = {"name": f"T_{name}", "namespace": namespace,
+                          "fields": [field(f"f{j}") for j in range(draw(st.integers(0, 3)))]}
+            bases = draw(st.lists(st.sampled_from(type_names), max_size=2, unique=True))
+            if bases:
+                spec["bases"] = bases
+            methods = []
+            for method in ("Get", "Set"):
+                for params in signatures(2):
+                    static = draw(st.booleans())
+                    entry = {"name": method, "params": params, "body": body(len(params), not static)}
+                    if static:
+                        entry["static"] = True
+                    if draw(st.booleans()):
+                        entry["returns"] = draw(any_kind)
+                    methods.append(entry)
+            if methods:
+                spec["methods"] = methods
+            ctors = [{"params": p, "body": body(len(p), True)} for p in signatures(2)]
+            if ctors:
+                spec["ctors"] = ctors
+            types.append(spec)
         elif bucket == 1:
             arity = draw(st.integers(0, 3))
             functions.append({
@@ -243,7 +314,7 @@ def _manifests(draw) -> str:
                 "body": [{"op": "ret"}] if draw(st.booleans()) else [],
             })
         else:
-            globals_.append({"name": f"g_{name}", "namespace": namespace, "kind": draw(_kind)})
+            globals_.append(dict(field(f"g_{name}"), namespace=namespace))
     if types:
         out["types"] = types
     if functions:

@@ -257,6 +257,50 @@ def test_field_shadowing_rejected_through_a_chain_from_an_earlier_merge(registry
     assert registry.find_type("E") is not None
 
 
+PINNED = json.dumps({
+    "enums": {"E": {"a": 1}},
+    "types": [{"name": "T", "methods": [{"name": "Fill", "params": ["f64"]}]}],
+    "functions": [{"name": "f", "params": ["i64"], "returns": "i64"}],
+    "globals": [{"name": "g", "kind": "i64"}],
+})
+NOPE = {"enum": "Nope"}
+
+
+@pytest.mark.parametrize("section, error, message", [
+    ({"types": [{"name": "T", "methods": [{"name": "Fill", "params": ["f64"], "returns": "i64"}]}]},
+     ConflictError, "method T.Fill(f64) -> i64 is indistinguishable from an existing overload"),
+    ({"functions": [{"name": "f", "params": ["i64"], "returns": "f64"}]},
+     ConflictError, "function f(i64) -> f64 [static] is indistinguishable from an existing overload"),
+    ({"types": [{"name": "U", "fields": [{"name": "x", "kind": NOPE, "initial": 0}]}]},
+     ValidationError, "type U field x: unknown enum 'Nope'"),
+    ({"types": [{"name": "U", "methods": [{"name": "m", "params": [NOPE]}]}]},
+     ValidationError, "type U method m: unknown enum 'Nope'"),
+    ({"types": [{"name": "U", "methods": [{"name": "m", "returns": NOPE}]}]},
+     ValidationError, "type U method m: unknown enum 'Nope'"),
+    ({"types": [{"name": "U", "ctors": [{"params": [NOPE]}]}]},
+     ValidationError, "type U constructor: unknown enum 'Nope'"),
+    ({"functions": [{"name": "h", "params": [NOPE]}]},
+     ValidationError, "function h: unknown enum 'Nope'"),
+    ({"globals": [{"name": "h", "kind": NOPE, "initial": 0}]},
+     ValidationError, "global h: unknown enum 'Nope'"),
+    ({"globals": [{"name": "h", "kind": {"enum": "E"}, "initial": "b"}]},
+     ValidationError, "global h: 'b' is not an enumerator of E"),
+    ({"types": [{"name": "U", "fields": [{"name": "x", "kind": {"enum": "E"}, "initial": 2}]}]},
+     ValidationError, "type U field x: 2 is not an enumerator value of E"),
+    ({"namespaces": ["T.Inner"]}, ConflictError, "'T' already declared as a type"),
+    ({"globals": [{"name": "h", "namespace": "f.Inner", "kind": "i64"}]},
+     ConflictError, "'f' already declared as a function"),
+    ({"types": [{"name": "f"}]}, ConflictError, "'f' already declared as a function"),
+    ({"types": [{"name": "g"}]}, ConflictError, "'g' already declared as a global"),
+])
+def test_each_merge_time_rule_names_its_fault(registry, heap, section, error, message):
+    merge(registry, parse_manifest(PINNED), heap)
+    with pytest.raises(error) as excinfo:
+        merge(registry, parse_manifest(json.dumps(section)), heap)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+    assert registry.version == 1
+
+
 def test_merge_requires_quiescence(registry, heap):
     registry.busy_check = lambda: 2
     with pytest.raises(NotQuiescent):
