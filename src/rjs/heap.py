@@ -6,8 +6,10 @@ one object agree by construction. Handles are abstract 64-bit counters:
 each object gets a canonical address, aliases are extra handles collapsed
 to the canonical address at creation time, and 0 is the reserved null
 handle. Structural mutations and individual field/global accesses are
-guarded by one lock; worker contexts may execute bodies concurrently
-with nothing stronger than per-access atomicity.
+guarded by one plain (non-reentrant) lock, taken once per access and
+never while already held; worker contexts may execute bodies
+concurrently with nothing stronger than per-access atomicity.
+`Heap._object` is the one place that turns a handle into its object.
 
 Bodies run as closures, not as a tree walk. `compile_body` turns a
 statement list into nested `step(heap, self_addr, args)` closures once;
@@ -15,7 +17,8 @@ a signature keeps its compiled body for its life, so a plugin body
 (whose signature the per-process manifest memo shares between bridges)
 compiles once per process, while a macro compiles on every call. The
 closures hold no heap: each call passes it in, `self` normalized once,
-and a field step takes the lock for its own access only.
+and a field step takes the lock for its own access only (a read is
+`read_field`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .errors import (
     UnknownType,
 )
 from .model import (
-    BUILTINS,
     TAG_ENUM,
     TAG_F64,
     TAG_I64,
@@ -93,7 +95,7 @@ class Heap:
         self.aliases: dict[int, int] = {}  # handle -> canonical address
         self.globals: dict[str, HostValue] = {}
         self._next_address = FIRST_ADDRESS
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     # -- handles ----------------------------------------------------------------
 
@@ -102,18 +104,22 @@ class Heap:
         self._next_address += 1
         return handle
 
+    def _object(self, handle: int) -> HostObject:
+        """The live object `handle` names; callers hold the lock (`_match_exact` only reads)."""
+        obj = self.objects.get(self.aliases.get(handle, -1))
+        if obj is None:
+            raise DanglingHandle(f"handle {handle:#x} does not reference a live object")
+        return obj
+
     def normalize(self, handle: int) -> int:
         """Collapse any live handle to its canonical address (idempotent)."""
         with self._lock:
-            canonical = self.aliases.get(handle)
-            if canonical is None or canonical not in self.objects:
-                raise _dangling(handle)
-            return canonical
+            return self._object(handle).address
 
     def make_alias(self, handle: int) -> int:
         """Fresh handle for the object `handle` normalizes to."""
         with self._lock:
-            canonical = self.normalize(handle)
+            canonical = self._object(handle).address
             alias = self._fresh_handle()
             self.aliases[alias] = canonical
             return alias
@@ -148,9 +154,8 @@ class Heap:
                 if desc.constructors.signatures:
                     signature = self._match_exact(desc.constructors.signatures, args)
                     if signature is None:
-                        raise HostExecError(
-                            f"no constructor of {type_name!r} matches ({self._kinds_of(args)})"
-                        )
+                        kinds = ", ".join(a.tag for a in args)
+                        raise HostExecError(f"no constructor of {type_name!r} matches ({kinds})")
                 elif args:
                     raise HostExecError(f"{type_name!r} has no constructors taking arguments")
             if signature is not None and signature.body:
@@ -169,7 +174,7 @@ class Heap:
 
     def destroy(self, handle: int) -> None:
         with self._lock:
-            canonical = self.normalize(handle)
+            canonical = self._object(handle).address
             del self.objects[canonical]
             stale = [h for h, c in self.aliases.items() if c == canonical]
             for h in stale:
@@ -179,16 +184,16 @@ class Heap:
 
     def read_field(self, handle: int, name: str) -> HostValue:
         with self._lock:
-            obj = self.objects[self.normalize(handle)]
+            obj = self._object(handle)
             if name not in obj.storage:
                 raise UnknownField(f"{obj.type_name!r} has no field {name!r}")
             return obj.storage[name]
 
     def write_field(self, handle: int, name: str, value: HostValue) -> None:
         with self._lock:
-            obj = self.objects[self.normalize(handle)]
+            obj = self._object(handle)
             decl = self.registry.field_decl(obj.type_name, name)
-            if decl is None or name not in obj.storage:
+            if decl is None:
                 raise UnknownField(f"{obj.type_name!r} has no field {name!r}")
             self._check_kind(decl.kind, value, f"field {obj.type_name}.{name}")
             obj.storage[name] = value
@@ -222,8 +227,9 @@ class Heap:
                 return KindMismatch(f"{what} expects {kind}, got {value.tag}")
             if value.value == 0:
                 return None  # null reference is assignable to any object slot
-            obj = self.objects.get(self.aliases.get(value.value, -1))
-            if obj is None:
+            try:
+                obj = self._object(value.value)  # type: ignore[arg-type]
+            except DanglingHandle:
                 return DanglingHandle(f"{what}: handle {value.value:#x} is dangling")
             if self.registry.subtype_distance(obj.type_name, kind.name or "") is None:
                 return KindMismatch(f"{what} expects {kind}, got {obj.type_name}")
@@ -312,7 +318,7 @@ class Heap:
             elif declared.tag == TAG_ENUM and value.enum_name != declared.name:
                 raise HostExecError(f"body returned enum {value.enum_name}, expected {declared.name}")
             elif declared.tag == TAG_OBJ and isinstance(fault, KindMismatch):  # an unrelated type
-                got = self.objects[self.aliases[value.value]].type_name  # type: ignore[index]
+                got = self._object(value.value).type_name  # type: ignore[arg-type]
             else:  # a dangling handle, or an integer no enumerator has
                 raise HostExecError(str(fault))
         raise HostExecError(f"body returned {got}, signature declares {kind_str(declared)}")
@@ -341,8 +347,8 @@ class Heap:
                 if value.value == 0:
                     return None
                 with self._lock:
-                    obj = self.objects[self.normalize(value.value)]  # type: ignore[arg-type]
-                    return ValueKind(TAG_OBJ, obj.type_name)
+                    obj = self._object(value.value)  # type: ignore[arg-type]
+                return ValueKind(TAG_OBJ, obj.type_name)
             case _:
                 return None
 
@@ -367,17 +373,10 @@ class Heap:
                 return sig
         return None
 
-    def _kinds_of(self, args: list[HostValue]) -> str:
-        return ", ".join(a.tag for a in args)
-
 
 # ---------------------------------------------------------------------------
 # body compilation: closures replace the tree walk
 # ---------------------------------------------------------------------------
-
-def _dangling(handle: int) -> DanglingHandle:
-    return DanglingHandle(f"handle {handle:#x} does not reference a live object")
-
 
 def compile_body(statements: tuple[Stmt, ...], create_globals: bool) -> Step:
     """Compile a statement list into one `body(heap, self_addr, args)` closure.
@@ -462,14 +461,7 @@ def _get_field(node: GetField) -> Step:
     def get_field(heap, self_addr, args):
         if self_addr is None:
             raise HostExecError("field read outside an instance context")
-        with heap._lock:
-            obj = heap.objects.get(self_addr)  # self_addr is canonical: no normalize
-            if obj is None:
-                raise _dangling(self_addr)
-            value = obj.storage.get(name)
-            if value is None:
-                raise UnknownField(f"{obj.type_name!r} has no field {name!r}")
-            return value
+        return heap.read_field(self_addr, name)
     return get_field
 
 
@@ -479,14 +471,10 @@ def _set_field(name: str, value_step: Step) -> Step:
             raise HostExecError("field write outside an instance context")
         value = value_step(heap, self_addr, args)
         with heap._lock:
-            obj = heap.objects.get(self_addr)
-            if obj is None:
-                raise _dangling(self_addr)
+            obj = heap._object(self_addr)
             decl = heap.registry.field_decl(obj.type_name, name)
             if decl is None:
                 raise HostExecError(f"unknown field {name!r}")
-            if name not in obj.storage:
-                raise UnknownField(f"{obj.type_name!r} has no field {name!r}")
             kind = decl.kind
             # a scalar kind (no name) of the value's own tag needs no widening and fits
             if value.tag != kind.tag or kind.name is not None:
@@ -547,7 +535,7 @@ def _float_mod(a: float, b: float) -> HostValue:
 
 
 #: operator -> (both operands i64, either operand f64)
-_OPERATORS: dict[str, tuple[Callable[[int, int], HostValue], Callable[[float, float], HostValue]]] = {
+OPERATORS: dict[str, tuple[Callable[[int, int], HostValue], Callable[[float, float], HostValue]]] = {
     "+": (lambda a, b: i64(a + b), lambda a, b: f64(a + b)),
     "-": (lambda a, b: i64(a - b), lambda a, b: f64(a - b)),
     "*": (lambda a, b: i64(a * b), lambda a, b: f64(a * b)),
@@ -558,9 +546,9 @@ _OPERATORS: dict[str, tuple[Callable[[int, int], HostValue], Callable[[float, fl
 
 def _bin_op(node: BinOp) -> Step:
     op = node.op
-    if op not in _OPERATORS:
+    if op not in OPERATORS:
         raise HostExecError(f"unknown operator {op!r}")
-    on_ints, on_floats = _OPERATORS[op]
+    on_ints, on_floats = OPERATORS[op]
     left, right = _compile_expr(node.left), _compile_expr(node.right)
 
     def bin_op(heap, self_addr, args):
@@ -630,18 +618,23 @@ def _alias(heap: Heap, values: list[HostValue]) -> HostValue:
     return ref(heap.make_alias(values[0].value))  # type: ignore[arg-type]
 
 
-_BUILTIN_CODE = {
-    "sqrt": _sqrt, "floor": _floor, "concat": _concat, "strlen": _strlen,
-    "to_str": _to_str, "sleep_ms": _sleep_ms, "alias": _alias,
+#: builtin name -> (min arity, max arity or None for unbounded, code)
+BUILTINS: dict[str, tuple[int, int | None, Callable[[Heap, list[HostValue]], HostValue]]] = {
+    "sqrt": (1, 1, _sqrt),
+    "floor": (1, 1, _floor),
+    "concat": (1, None, _concat),
+    "strlen": (1, 1, _strlen),
+    "to_str": (1, 1, _to_str),
+    "sleep_ms": (1, 1, _sleep_ms),
+    "alias": (1, 1, _alias),
 }
 
 
 def _builtin(node: Builtin) -> Step:
     name = node.name
-    bounds, run = BUILTINS.get(name), _BUILTIN_CODE.get(name)
-    if bounds is None or run is None:
+    if name not in BUILTINS:
         raise HostExecError(f"unknown builtin {name!r}")
-    low, high = bounds
+    low, high, run = BUILTINS[name]
     if len(node.args) < low or (high is not None and len(node.args) > high):
         raise HostExecError(f"builtin {name!r} called with {len(node.args)} argument(s)")
     arg_steps = tuple(_compile_expr(a) for a in node.args)

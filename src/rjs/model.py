@@ -239,19 +239,6 @@ class ExprStmt:
 
 Stmt = Union[SetField, SetGlobal, Return, ExprStmt]
 
-BIN_OPS = ("+", "-", "*", "/", "%")
-
-#: builtin name -> (min arity, max arity or None for unbounded)
-BUILTINS: dict[str, tuple[int, int | None]] = {
-    "sqrt": (1, 1),
-    "floor": (1, 1),
-    "concat": (1, None),
-    "strlen": (1, 1),
-    "to_str": (1, 1),
-    "sleep_ms": (1, 1),
-    "alias": (1, 1),
-}
-
 
 # ---------------------------------------------------------------------------
 # signatures and descriptors

@@ -30,10 +30,8 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .heap import Heap
+from .heap import BUILTINS, OPERATORS, Heap
 from .model import (
-    BIN_OPS,
-    BUILTINS,
     I64_MAX,
     I64_MIN,
     TAG_ENUM,
@@ -296,7 +294,7 @@ def parse_expr(raw: object, ctx: _BodyCtx) -> Expr:
             return GetGlobal(_qname(raw["name"], ctx.what))
         case "bin":
             _require_keys(raw, {"op", "o", "l", "r"}, {"o", "l", "r"}, ctx.what)
-            if raw["o"] not in BIN_OPS:
+            if not isinstance(raw["o"], str) or raw["o"] not in OPERATORS:
                 raise ValidationError(f"{ctx.what}: unknown operator {raw['o']!r}")
             return BinOp(raw["o"], parse_expr(raw["l"], ctx), parse_expr(raw["r"], ctx))
         case "builtin":
@@ -306,7 +304,7 @@ def parse_expr(raw: object, ctx: _BodyCtx) -> Expr:
                 raise ValidationError(f"{ctx.what}: unknown builtin {name!r}")
             if not isinstance(raw["args"], list):
                 raise ValidationError(f"{ctx.what}: builtin args must be a list")
-            low, high = BUILTINS[name]
+            low, high, _ = BUILTINS[name]
             if len(raw["args"]) < low or (high is not None and len(raw["args"]) > high):
                 raise ValidationError(
                     f"{ctx.what}: builtin {name!r} takes at least {low} argument(s)"
@@ -446,7 +444,10 @@ def _normalize_initial(kind: ValueKind, raw: object, present: bool, what: str) -
         case "f64":
             if isinstance(raw, bool) or not isinstance(raw, (int, float)):
                 raise ValidationError(f"{what}: f64 initial must be a number")
-            return float(raw)
+            try:
+                return float(raw)
+            except OverflowError:  # an integer beyond binary64
+                raise ValidationError(f"{what}: initial {raw} outside the f64 range") from None
         case "bool":
             if not isinstance(raw, bool):
                 raise ValidationError(f"{what}: bool initial must be true or false")
@@ -887,6 +888,7 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
     new_types: list[HostTypeDescriptor] = []
     extensions: list[tuple[HostTypeDescriptor, tuple[MethodSpec, ...]]] = []
     for t in ast.types:
+        what = f"type {t.qualified}"
         existing = registry.entries.get(t.qualified)
         if isinstance(existing, HostTypeDescriptor):
             if not t.is_extension:
@@ -894,11 +896,11 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
             for m in t.methods:
                 _check_overload(existing.methods.get(m.name), "method",
                                 f"{t.qualified}.{m.name}", m.signature)
+                _check_enums(enums_overlay, f"{what} method {m.name}", _kinds(m.signature))
             extensions.append((existing, t.methods))
             continue
         if existing is not None:
             raise ConflictError(f"{t.qualified!r} already declared as a {category(existing)}")
-        what = f"type {t.qualified}"
         for f in t.fields:
             _check_enums(enums_overlay, f"{what} field {f.name}", (f.kind,))
         for m in t.methods:

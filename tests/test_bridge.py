@@ -714,3 +714,62 @@ def test_builtin_of_a_discarded_interpreter_raises(bridge):
     del interp
     with pytest.raises(ReferenceError, match="_print called after its object was discarded"):
         printer(1.0)
+
+
+# -- the heap lock ------------------------------------------------------------------------
+
+
+class DepthRecordingLock:
+    """Stands in for `Heap._lock`: counts acquisitions and each thread's nesting depth.
+
+    It holds a re-entrant lock, so code that nests an acquisition shows up
+    as a depth of 2 rather than hanging the test.
+    """
+
+    def __init__(self) -> None:
+        self._inner = threading.RLock()
+        self._local = threading.local()
+        self.acquisitions = 0
+        self.max_depth = 0
+
+    def __enter__(self) -> "DepthRecordingLock":
+        self._inner.acquire()
+        depth = getattr(self._local, "depth", 0) + 1
+        self._local.depth = depth
+        self.acquisitions += 1
+        self.max_depth = max(self.max_depth, depth)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._local.depth -= 1
+        self._inner.release()
+
+
+GSET_OBJECT_MACRO = json.dumps({"statements": [
+    {"op": "gset", "name": "gObj", "value": {"op": "new", "type": "TObject", "args": []}},
+]})
+HEAP_PATHS = {
+    "Fill": "h.Fill(0.5);",
+    "Ref": "let r = h.Ref();",
+    "proxy field": "h.fEntries = h.fEntries + 1;",
+    "global": "root.gDebug = root.gDebug + 1;",
+    "constructor body": 'let n = root.TNamed("a", "b");',
+    "body new": 'let f = root.TFile.Open("f");',
+    "macro gset of an object": f"root.evalmacro({json.dumps(GSET_OBJECT_MACRO)});",
+    "async Fill": "h.Fill(0.5, fn(n) {});" * 12,  # three per worker
+}
+
+
+@pytest.mark.parametrize("path", HEAP_PATHS)
+def test_the_heap_lock_is_never_nested(bridge, sample_plugin, path):
+    bridge.loadlibrary(str(sample_plugin))
+    interp = Interpreter(bridge, io.StringIO())
+    interp.run(parse('let h = root.TH1D("h", "t");'), interp.globals)
+    lock = DepthRecordingLock()
+    bridge.heap._lock = lock
+    interp.run(parse(HEAP_PATHS[path]))
+    assert bridge.dispatcher.drain(5000)
+    assert lock.acquisitions > 0
+    assert lock.max_depth == 1
+    if path == "Fill":
+        assert lock.acquisitions <= 6

@@ -139,6 +139,16 @@ def test_script_recursion_through_evalmacro_is_a_script_error_at_any_stack_depth
         assert run_below(frames) == "ScriptRecursionError: script calls nested too deep\n", frames
 
 
+def test_run_macro_with_an_f64_initial_beyond_binary64_exits_1(tmp_path):
+    huge = 10**400
+    macro = json.dumps({"globals": [{"name": "g", "kind": "f64", "initial": huge}]})
+    script = write(tmp_path, "s.rjs", f"root.evalmacro({json.dumps(macro)});")
+    out, diag = io.StringIO(), io.StringIO()
+    assert cmd_run(script, [], out=out, diag=diag) == 1
+    assert diag.getvalue() == f"ValidationError: global g: initial {huge} outside the f64 range\n"
+    assert out.getvalue() == ""
+
+
 def test_sync_only_run_starts_no_worker_thread(tmp_path, sample_plugin, monkeypatch):
     script = write(tmp_path, "s.rjs", 'let h = root.TH1D("h", "t"); h.Fill(0.5); print(h.GetEntries());')
     before = set(threading.enumerate())

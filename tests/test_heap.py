@@ -35,11 +35,12 @@ from rjs.model import (
     Param,
     Return,
     SelfRef,
+    SetField,
     SetGlobal,
     VOID,
     obj_kind,
 )
-from rjs.registry import merge, parse_manifest
+from rjs.registry import eval_macro, merge, parse_manifest
 
 VEC2 = json.dumps({
     "types": [{
@@ -474,6 +475,34 @@ def test_macro_global_from_a_dangling_ref_is_exec_error(world):
     with pytest.raises(HostExecError, match="does not reference a live object"):
         heap.run_macro_statements((SetGlobal("g", Const(ref(addr))),))
     assert registry.find_global("g") is None
+
+
+def _run_body(*statements, params=(), args=()):
+    signature = MethodSignature(params, body=statements)
+    return lambda registry, heap: heap.exec_body(None, signature, list(args))
+
+
+TWO = Const(i64(2))
+NULL_GSET = json.dumps({"statements": [{"op": "gset", "name": "g", "value": {"op": "const", "value": None}}]})
+
+
+@pytest.mark.parametrize("run, message", [
+    (_run_body(ExprStmt(SelfRef())), "self reference outside an instance context"),
+    (_run_body(ExprStmt(GetField("x"))), "field read outside an instance context"),
+    (_run_body(SetField("x", TWO)), "field write outside an instance context"),
+    (_run_body(ExprStmt(Param(3)), params=(K_I64,), args=(i64(1),)), "parameter index 3 out of range"),
+    (_run_body(params=(K_I64,)), "arity mismatch: body expects 1, got 0"),
+    (_run_body(ExprStmt(Builtin("nope", ()))), "unknown builtin 'nope'"),
+    (_run_body(ExprStmt(Builtin("sqrt", (TWO, TWO)))), "builtin 'sqrt' called with 2 argument(s)"),
+    (_run_body(ExprStmt(BinOp("^", TWO, TWO))), "unknown operator '^'"),
+    (lambda registry, heap: eval_macro(registry, heap, NULL_GSET),
+     "cannot infer a storage kind for global 'g'"),
+])
+def test_each_runtime_guard_names_its_fault(world, run, message):
+    registry, heap = world
+    with pytest.raises(HostExecError) as excinfo:
+        run(registry, heap)
+    assert type(excinfo.value) is HostExecError and str(excinfo.value) == message
 
 
 # -- destroy -----------------------------------------------------------------------

@@ -192,6 +192,21 @@ def test_nonfinite_json_constants_rejected():
             parse_manifest(f'{{"globals": [{{"name": "g", "kind": "f64", "initial": {number}}}]}}')
 
 
+HUGE = 10**400  # an integer token: json hands it over as an int, past the float hook
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({"globals": [{"name": "g", "kind": "f64", "initial": HUGE}]},
+     f"global g: initial {HUGE} outside the f64 range"),
+    ({"types": [{"name": "T", "fields": [{"name": "x", "kind": "f64", "initial": -HUGE}]}]},
+     f"type T field x: initial {-HUGE} outside the f64 range"),
+], ids=["global", "field"])
+def test_integer_f64_initial_beyond_binary64_rejected(manifest, message):
+    with pytest.raises(ValidationError) as excinfo:
+        parse_manifest(json.dumps(manifest))
+    assert str(excinfo.value) == message
+
+
 def test_const_parsing_distinguishes_int_and_float():
     text = {"statements": [
         {"op": "gset", "name": "a", "value": {"op": "const", "value": 3}},

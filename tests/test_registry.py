@@ -292,6 +292,8 @@ NOPE = {"enum": "Nope"}
      ConflictError, "'f' already declared as a function"),
     ({"types": [{"name": "f"}]}, ConflictError, "'f' already declared as a function"),
     ({"types": [{"name": "g"}]}, ConflictError, "'g' already declared as a global"),
+    ({"types": [{"name": "T", "methods": [{"name": "m", "static": True, "params": [NOPE], "returns": NOPE}]}]},
+     ValidationError, "type T method m: unknown enum 'Nope'"),  # an extension of T
 ])
 def test_each_merge_time_rule_names_its_fault(registry, heap, section, error, message):
     merge(registry, parse_manifest(PINNED), heap)
