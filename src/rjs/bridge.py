@@ -1,7 +1,7 @@
 """The adapter between script values and the host system.
 
-Responsibilities: mirror the registry's namespace tree as a property
-tree hanging off a root object, manufacture identity-cached proxies over
+Responsibilities: expose the registry's names, up to the last refresh,
+as properties of a root object, manufacture identity-cached proxies over
 normalized addresses, convert values in both directions, resolve
 overloads by conversion cost, and route invocations either inline or to
 the dispatcher (a trailing callable always becomes the completion
@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import sys
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, TextIO
 
 from .dispatcher import CallTask, Dispatcher, report_fault, run_call
@@ -32,12 +32,13 @@ from .errors import (
 )
 from .heap import Heap
 from .model import (
-    CHILD_MAPS,
     TAG_ENUM,
     TAG_OBJ,
     GlobalDecl,
+    HostTypeDescriptor,
     HostValue,
     MethodSignature,
+    NamespaceNode,
     OverloadSet,
     Registry,
     ValueKind,
@@ -47,9 +48,9 @@ from .model import (
     f64,
     i64,
     kind_str,
+    join_path,
     ref,
     sig_str,
-    split_path,
     strobj,
 )
 from .registry import eval_macro, merge, parse_manifest
@@ -63,7 +64,7 @@ MAX_SAFE_INTEGER = 2**53
 
 @dataclass(frozen=True)
 class NsRef:
-    """Reference to a namespace by path; resolved against the current mirror."""
+    """Reference to a namespace by path; resolved against the names scripts see."""
 
     path: str
 
@@ -134,65 +135,35 @@ def split_callback(args: list[Any]) -> tuple[list[Any], Callable[[Any], Any] | N
 
 
 # ---------------------------------------------------------------------------
-# property tree
+# root object
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PropertyNode:
-    """Mirror of one namespace node, patched in place by `refresh`."""
-
-    path: str
-    namespaces: dict[str, "PropertyNode"] = field(default_factory=dict)
-    types: dict[str, str] = field(default_factory=dict)  # name -> qualified
-    functions: dict[str, str] = field(default_factory=dict)  # name -> path
-    globals: dict[str, str] = field(default_factory=dict)  # name -> qualified
-
 
 @dataclass
 class RootObject:
     """Top-level object of the bindings: a snapshot of the registry.
 
-    `cursor` counts the registry journal entries already mirrored in
-    `tree`; `version_seen` is the registry version at the last refresh.
+    Scripts see the names whose declaration number (`Registry.order`) is
+    below `cursor`; `version_seen` is the registry version at the last
+    refresh.
     """
 
-    tree: PropertyNode
     version_seen: int = 0
     cursor: int = 0
 
 
-def _walk(tree: PropertyNode, path: str) -> PropertyNode | None:
-    node: PropertyNode | None = tree
-    for part in split_path(path):
-        node = node.namespaces.get(part)
-        if node is None:
-            return None
-    return node
-
-
 def build_root(registry: Registry) -> RootObject:
     """Expose every namespace, type, function and global as nested properties."""
-    root = RootObject(PropertyNode(""))
+    root = RootObject()
     refresh(root, registry)
     return root
 
 
 def refresh(root: RootObject, registry: Registry) -> int:
-    """Mirror the names added since the last refresh; returns how many.
-
-    Only the registry journal entries past `root.cursor` are applied, so
-    the cost is proportional to the new names, not to the registry.
-    """
-    entries = registry.journal[root.cursor:]
-    for category, qualified in entries:
-        parent, _, name = qualified.rpartition(".")
-        node = _walk(root.tree, parent)
-        assert node is not None  # the journal lists a namespace before its members
-        child = PropertyNode(qualified) if category == "namespace" else qualified
-        getattr(node, CHILD_MAPS[category])[name] = child
-    root.cursor += len(entries)
+    """Show scripts the names declared since the last refresh; returns how many."""
+    added = len(registry.order) - root.cursor
+    root.cursor += added
     root.version_seen = registry.version
-    return len(entries)
+    return added
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +210,7 @@ class ResolvedCall:
 
 
 class Bridge:
-    """Glue object owning the registry mirror, proxy cache and dispatcher.
+    """Glue object owning the root object, proxy cache and dispatcher.
 
     One Bridge per embedding context. The error sink receives faults from
     asynchronous calls (the completion callback itself only ever sees the
@@ -277,16 +248,44 @@ class Bridge:
         self.async_faults.append((call_id, exc))
         self.error_sink(call_id, exc)
 
-    # -- mirror ------------------------------------------------------------------
+    # -- visible names -----------------------------------------------------------
 
     def refresh(self) -> int:
         return refresh(self.root, self.registry)
 
-    def node_at(self, path: str) -> PropertyNode:
-        node = _walk(self.root.tree, path)
-        if node is None:
+    def _visible(self, qualified: str) -> object | None:
+        """The registry entry at `qualified` if a refresh has shown it, else None.
+
+        The root namespace `""` has no declaration number and is always shown.
+        """
+        cursor = self.root.cursor
+        if qualified and self.registry.order.get(qualified, cursor) >= cursor:
+            return None
+        return self.registry.entries[qualified]
+
+    def node_at(self, path: str) -> NamespaceNode:
+        """The registry's own node for the namespace at `path`, if scripts see it.
+
+        Its child maps hold every name declared there, refreshed or not:
+        what scripts see right after `loadlibrary` or `evalmacro`. A missed
+        refresh shows when the new name is then used through `get_member`.
+        """
+        node = self._visible(path)
+        if not isinstance(node, NamespaceNode):
             raise ScriptNameError(f"namespace {path!r} is not exposed")
         return node
+
+    def _member(self, path: str, name: str) -> object | None:
+        """What scripts see as `name` in the namespace at `path`; None if nothing.
+
+        Raises when `path` is not a shown namespace. A shown member implies
+        that it is: only a namespace has members, declared after it.
+        """
+        # one level per member, as in `root.A.B`
+        entry = self._visible(join_path(path, name)) if name and "." not in name else None
+        if entry is None:
+            self.node_at(path)
+        return entry
 
     # -- conversions ----------------------------------------------------------------
 
@@ -463,15 +462,15 @@ class Bridge:
                     return BoundBuiltin("loadlibrary", self._script_loadlibrary)
                 if path == "" and name == "evalmacro":
                     return BoundBuiltin("evalmacro", self._script_evalmacro)
-                node = self.node_at(path)
-                if name in node.namespaces:
-                    return NsRef(node.namespaces[name].path)
-                if name in node.types:
-                    return TypeRef(node.types[name])
-                if name in node.functions:
-                    return FnRef(node.functions[name])
-                if name in node.globals:
-                    return self.to_script(self.heap.read_global(node.globals[name]))
+                match self._member(path, name):
+                    case NamespaceNode():
+                        return NsRef(join_path(path, name))
+                    case HostTypeDescriptor(qualified_name=qualified):
+                        return TypeRef(qualified)
+                    case OverloadSet():
+                        return FnRef(join_path(path, name))
+                    case GlobalDecl(qualified=qualified):
+                        return self.to_script(self.heap.read_global(qualified))
                 where = path or "the root object"
                 raise ScriptNameError(f"{where} has no member {name!r}")
             case TypeRef(qualified):
@@ -493,13 +492,11 @@ class Bridge:
         """Write-through for globals and proxy fields; all else is read-only."""
         match value:
             case NsRef(path):
-                node = self.node_at(path)
-                if name in node.globals:
-                    decl = self.registry.lookup(node.globals[name])
-                    assert isinstance(decl, GlobalDecl)
-                    self.heap.write_global(decl.qualified, self.to_host(assigned, decl.kind))
+                entry = self._member(path, name)
+                if isinstance(entry, GlobalDecl):
+                    self.heap.write_global(entry.qualified, self.to_host(assigned, entry.kind))
                     return
-                if name in node.namespaces or name in node.types or name in node.functions:
+                if entry is not None:
                     raise ScriptTypeError(f"property {name!r} is read-only")
                 where = path or "the root object"
                 raise ScriptNameError(f"{where} has no member {name!r}")
@@ -519,12 +516,12 @@ class Bridge:
     # -- plugin loading and macros ---------------------------------------------------------
 
     def loadlibrary(self, path: str) -> int:
-        """Merge a plugin file and refresh the mirror; returns the new version."""
+        """Merge a plugin file and refresh the root object; returns the new version."""
         self.dispatcher.check_domain("loadlibrary")
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise LoadError(f"cannot read plugin {path!r}: {exc}") from exc
         ast = parse_manifest(text)
         version = merge(self.registry, ast, self.heap)
@@ -532,7 +529,7 @@ class Bridge:
         return version
 
     def evalmacro(self, text: str) -> Any:
-        """Evaluate macro text, resync the mirror, convert the macro's value."""
+        """Evaluate macro text, refresh the root object, convert the macro's value."""
         self.dispatcher.check_domain("evalmacro")
         try:
             result = eval_macro(self.registry, self.heap, text)

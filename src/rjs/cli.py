@@ -49,7 +49,7 @@ def cmd_run(
         try:
             with open(file, "r", encoding="utf-8") as handle:
                 source = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             diag.write(f"cannot read script {file!r}: {exc}\n")
             return 1
         try:

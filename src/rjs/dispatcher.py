@@ -6,7 +6,7 @@ FIFO queue; callbacks are delivered only by an explicit pump
 (`process_events` / `drain`) running on the interpreter domain, the
 thread that created the engine. Workers execute host bodies and
 constructor calls only; they never touch script values, proxies or the
-property tree.
+root object.
 
 Pool size comes from the RJS_WORKERS environment variable (default 4;
 invalid values fall back to 4 with a warning on the diagnostic stream).

@@ -126,7 +126,6 @@ def ref(handle: int) -> HostValue:
 
 
 VOID = HostValue(TAG_VOID)
-NULL_REF = ref(0)
 
 
 def format_number(x: float) -> str:
@@ -325,8 +324,7 @@ class NamespaceNode:
     globals: dict[str, GlobalDecl] = field(default_factory=dict)
 
 
-#: registry category -> the child map that holds it, in a NamespaceNode
-#: and in the bridge's mirror of one
+#: registry category -> the child map that holds it in a NamespaceNode
 CHILD_MAPS = {"namespace": "namespaces", "type": "types", "function": "functions", "global": "globals"}
 
 
@@ -421,11 +419,11 @@ class Registry:
     `version` increases by exactly one on every successful mutation
     (plugin merge, macro evaluation) and never otherwise. `entries` maps
     every qualified name to its namespace node, type, function set or
-    global (`""` to `root`), and `journal` gets one `(category, qualified)`
-    entry per name in the order they were added. `declare` is the only
-    writer of both and of the nodes' child maps; names are never removed,
-    so the journal lists every name and the bridge mirrors it from a
-    cursor. `busy_check`, when set, returns the number of in-flight
+    global (`""` to `root`), and `order` maps every name but `""` to its
+    0-based declaration number. `declare` is the only writer of both and
+    of the nodes' child maps; names are never removed, so a bridge shows
+    scripts the names numbered below its cursor and moves the cursor on
+    a refresh. `busy_check`, when set, returns the number of in-flight
     asynchronous calls and gates mutations (the quiescence rule).
     """
 
@@ -434,7 +432,7 @@ class Registry:
         self.entries: dict[str, object] = {"": self.root}
         self.enums: dict[str, dict[str, int]] = {}
         self.version = 0
-        self.journal: list[tuple[str, str]] = []
+        self.order: dict[str, int] = {}
         self._layouts: dict[str, TypeLayout] = {}
         self._walked: dict[str, TypeLayout] = {}  # see `hand_over_layouts`
         self.busy_check = None  # optional () -> int, wired by the bridge
@@ -552,7 +550,7 @@ class Registry:
     # -- mutation support (used by registry.merge and the macro executor) -----
 
     def declare(self, category: str, qualified: str, entry: object) -> None:
-        """Add a new name: link it into its parent namespace, index it, journal it.
+        """Add a new name: link it into its parent namespace, index it, number it.
 
         The caller has checked that the name is free and its parent is a
         namespace.
@@ -560,7 +558,7 @@ class Registry:
         parent, _, name = qualified.rpartition(".")
         getattr(self.entries[parent], CHILD_MAPS[category])[name] = entry
         self.entries[qualified] = entry
-        self.journal.append((category, qualified))
+        self.order[qualified] = len(self.order)
 
     def hand_over_layouts(self, walked: dict[str, TypeLayout]) -> None:
         """Keep the layouts a merge walked for its new types until first use.

@@ -305,10 +305,10 @@ def parse_expr(raw: object, ctx: _BodyCtx) -> Expr:
             if not isinstance(raw["args"], list):
                 raise ValidationError(f"{ctx.what}: builtin args must be a list")
             low, high, _ = BUILTINS[name]
-            if len(raw["args"]) < low or (high is not None and len(raw["args"]) > high):
-                raise ValidationError(
-                    f"{ctx.what}: builtin {name!r} takes at least {low} argument(s)"
-                )
+            count = len(raw["args"])
+            if count < low or (high is not None and count > high):
+                bound = f"at least {low}" if count < low else f"at most {high}"
+                raise ValidationError(f"{ctx.what}: builtin {name!r} takes {bound} argument(s)")
             return Builtin(name, tuple(parse_expr(a, ctx) for a in raw["args"]))
         case "new":
             _require_keys(raw, {"op", "type", "args"}, {"type", "args"}, ctx.what)

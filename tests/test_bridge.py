@@ -1,4 +1,4 @@
-"""Bridge behaviour: mirror, proxies, conversions, resolution, invocation."""
+"""Bridge behaviour: root members, proxies, conversions, resolution, invocation."""
 
 from __future__ import annotations
 
@@ -59,9 +59,12 @@ def load(bridge, text: str) -> None:
 
 def test_empty_registry_root_has_no_properties(bridge):
     root = build_root(bridge.registry)
-    node = root.tree
-    assert not node.namespaces and not node.types
-    assert not node.functions and not node.globals
+    assert bridge.registry.order == {} and root.cursor == bridge.root.cursor == 0
+    for name in ("ROOT", "TH1D", "Pi", "gDebug"):
+        with pytest.raises(ScriptNameError, match=f"the root object has no member '{name}'"):
+            bridge.get_member(NsRef(""), name)
+        with pytest.raises(ScriptNameError, match=f"the root object has no member '{name}'"):
+            bridge.set_member(NsRef(""), name, 1.0)
 
 
 def test_pi_manifest_exposes_fnref(bridge):
@@ -72,14 +75,32 @@ def test_pi_manifest_exposes_fnref(bridge):
     assert pi == FnRef("ROOT.Math.Pi")
 
 
+@pytest.mark.parametrize("name", ["", "ROOT.Math", "Math.Pi"])
+def test_a_member_name_is_one_level(bridge, name):
+    load(bridge, PI_MANIFEST)
+    where = NsRef("ROOT") if name == "Math.Pi" else NsRef("")
+    message = f"{where.path or 'the root object'} has no member {name!r}"
+    with pytest.raises(ScriptNameError) as caught:
+        bridge.get_member(where, name)
+    assert str(caught.value) == message
+    with pytest.raises(ScriptNameError) as caught:
+        bridge.set_member(where, name, 1.0)
+    assert str(caught.value) == message
+
+
 def test_root_listing_matches_enumerate(bridge, sample_plugin):
     load(bridge, sample_plugin.read_text())
-    listing = bridge.registry.enumerate("")
-    node = bridge.root.tree
-    assert sorted(node.namespaces) == listing.namespaces
-    assert sorted(node.types) == listing.types
-    assert sorted(node.functions) == listing.functions
-    assert sorted(node.globals) == listing.globals
+    registry = bridge.registry
+    listing = registry.enumerate("")
+    top_level = [name for name in registry.order if "." not in name]
+    assert bridge.root.cursor == len(registry.order)
+    assert sorted(top_level) == sorted(
+        listing.namespaces + listing.types + listing.functions + listing.globals)
+    expected = {n: NsRef(n) for n in listing.namespaces}
+    expected.update({n: TypeRef(n) for n in listing.types})
+    expected.update({n: FnRef(n) for n in listing.functions})
+    expected.update({n: bridge.to_script(registry.find_global(n).initial) for n in listing.globals})
+    assert {n: bridge.get_member(NsRef(""), n) for n in expected} == expected
 
 
 def test_refresh_unchanged_version_is_noop(bridge):
@@ -643,6 +664,16 @@ def test_loadlibrary_missing_file_leaves_tree_unchanged(bridge, math_plugin):
     assert bridge.get_member(NsRef(""), "ROOT") == NsRef("ROOT")
 
 
+def test_loadlibrary_undecodable_file_is_a_load_error(bridge, tmp_path):
+    plugin = tmp_path / "bad.plugin"
+    plugin.write_bytes(b'{"globals": []}\xff')
+    with pytest.raises(LoadError) as caught:
+        bridge.loadlibrary(str(plugin))
+    message = f"cannot read plugin {str(plugin)!r}: 'utf-8' codec can't decode"
+    assert str(caught.value).startswith(message)
+    assert bridge.registry.version == 0
+
+
 def test_loadlibrary_not_quiescent_during_sleep(bridge, math_plugin):
     load(bridge, SLEEPY)
     bridge.invoke(FnRef("Nap"), [500.0, lambda v: None])
@@ -673,7 +704,7 @@ def test_registry_entry_points_rejected_off_the_interpreter_thread(bridge, math_
     assert not worker.is_alive()
     assert {name: type(exc) for name, exc in failures.items()} == dict.fromkeys(calls, DomainError)
     assert all(name in str(exc) for name, exc in failures.items())
-    assert bridge.registry.version == 0 and bridge.registry.journal == []
+    assert bridge.registry.version == 0 and bridge.registry.order == {}
     assert bridge.loadlibrary(str(math_plugin)) == 1  # the interpreter thread still may
 
 

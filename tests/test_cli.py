@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -87,6 +89,48 @@ def test_run_missing_script_exits_1(tmp_path):
     diag = io.StringIO()
     assert cmd_run(str(tmp_path / "nope.rjs"), [], out=io.StringIO(), diag=diag) == 1
     assert "cannot read script" in diag.getvalue()
+
+
+def _unreadable(tmp_path: Path, name: str, how: str) -> str:
+    path = tmp_path / name
+    if how == "directory":
+        path.mkdir()
+    elif how == "not utf-8":
+        path.write_bytes(b'{"globals": []}\xff\n')
+    return str(path)
+
+
+@pytest.mark.parametrize("how", ["missing", "directory", "not utf-8"])
+@pytest.mark.parametrize("entry", [
+    "run script", "run --plugin", "inspect --plugin", "run loadlibrary", "repl loadlibrary",
+])
+def test_unreadable_input_never_prints_a_traceback(tmp_path, entry, how):
+    bad = _unreadable(tmp_path, "bad.rjs" if entry == "run script" else "bad.plugin", how)
+    stdin, rendered = "", f"LoadError: cannot read plugin {bad!r}: "
+    match entry:
+        case "run script":
+            argv, rendered = ["run", bad], f"cannot read script {bad!r}: "
+        case "run --plugin":
+            argv = ["run", write(tmp_path, "s.rjs", 'print("must not run");'), "--plugin", bad]
+            rendered = f"plugin {bad}: {rendered}"
+        case "inspect --plugin":
+            argv, rendered = ["inspect", "--tree", "--plugin", bad], f"plugin {bad}: {rendered}"
+        case "run loadlibrary":
+            script = f'root.loadlibrary({json.dumps(bad)});\nprint("must not run");\n'
+            argv = ["run", write(tmp_path, "s.rjs", script)]
+        case _:
+            argv, stdin = ["repl"], f"root.loadlibrary({json.dumps(bad)});\n1+1\n.quit\n"
+    result = subprocess.run([sys.executable, "-m", "rjs.cli", *argv], input=stdin, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in result.stderr
+    if entry.startswith("repl"):  # the session renders the fault and goes on
+        assert result.returncode == 0 and result.stderr == ""
+        failed, _, rest = result.stdout.partition(f"error: {rendered}")
+        assert failed == "rjs> " and "\nrjs> 2\nrjs> " in rest
+    else:
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith(rendered)
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
 
 @pytest.mark.parametrize("source, plugins, error", [

@@ -1,15 +1,17 @@
-"""Registry journal, incremental mirror refresh and memoised type layouts.
+"""Registry declaration order, the refresh snapshot and memoised type layouts.
 
 Random sequences of merges and macros are applied to one registry. After
-each step the incrementally refreshed mirror must equal a tree rebuilt
-from `Registry.enumerate`, the memoised inheritance answers must agree
-with walks over the test's own record of what was declared, and the
-qualified-name index must agree with a walk of the namespace tree.
+each step, every name declared since the last refresh must stay hidden
+from `get_member` and `set_member` until `refresh` shows it, and every
+earlier name must resolve to its category's marker or value. The
+memoised inheritance answers must agree with walks over the test's own
+record of what was declared, and the qualified-name index must agree
+with a walk of the namespace tree.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import io
 import json
 
 from hypothesis import HealthCheck, given, settings
@@ -17,9 +19,9 @@ from hypothesis import strategies as st
 
 import pytest
 import support
-from rjs import Heap, Registry
-from rjs.bridge import PropertyNode, build_root, refresh
-from rjs.errors import NotFound
+from rjs import Bridge, Registry
+from rjs.bridge import FnRef, NsRef, TypeRef, refresh
+from rjs.errors import NotFound, ScriptNameError, ScriptTypeError
 from rjs.model import K_I64, FieldDecl, i64
 from rjs.registry import eval_macro, merge, parse_manifest
 
@@ -35,34 +37,36 @@ def _split(qualified: str) -> tuple[str, str]:
     return namespace, name
 
 
-def tree_from_enumerate(registry: Registry, path: str = "") -> PropertyNode:
-    listing = registry.enumerate(path)
-    node = PropertyNode(path)
-    for name in listing.namespaces:
-        node.namespaces[name] = tree_from_enumerate(registry, _join(path, name))
-    for name in listing.types:
-        node.types[name] = _join(path, name)
-    for name in listing.functions:
-        node.functions[name] = _join(path, name)
-    for name in listing.globals:
-        node.globals[name] = _join(path, name)
-    return node
-
-
 class World:
-    """A registry plus the test's own record of every declaration in it."""
+    """A bridge's registry plus the test's own record of every declaration in it."""
 
     def __init__(self) -> None:
-        self.registry = Registry()
-        self.heap = Heap(self.registry)
-        self.root = build_root(self.registry)
+        self.bridge = Bridge(workers=1, diag=io.StringIO())
+        self.registry = self.bridge.registry
+        self.heap = self.bridge.heap
+        self.root = self.bridge.root
         self.namespaces = [""]
         self.bases: dict[str, list[str]] = {}
         self.methods: dict[str, dict[str, int]] = {}  # type -> method -> overload count
         self.fields: dict[str, tuple[str, int]] = {}  # field -> (declaring type, initial)
         self.functions: dict[str, int] = {}  # qualified -> overload count
         self.globals: list[str] = []
+        self.values: dict[str, int] = {}  # global -> value last stored
+        self.shown: set[str] = set()  # names declared before the last refresh
         self.serial = 0
+
+    def names(self) -> set[str]:
+        return {*self.namespaces[1:], *self.bases, *self.functions, *self.globals}
+
+    def marker(self, qualified: str):
+        """What `root.<qualified>` must read as."""
+        if qualified in self.namespaces:
+            return NsRef(qualified)
+        if qualified in self.bases:
+            return TypeRef(qualified)
+        if qualified in self.functions:
+            return FnRef(qualified)
+        return float(self.values[qualified])
 
     def fresh(self, prefix: str) -> str:
         self.serial += 1
@@ -160,6 +164,7 @@ def step_function(world: World, data) -> tuple[dict, int]:
 def step_global(world: World, data) -> tuple[dict, int]:
     qualified = _join(data.draw(st.sampled_from(world.namespaces)), world.fresh("G"))
     world.globals.append(qualified)
+    world.values[qualified] = world.serial
     namespace, name = _split(qualified)
     return {"globals": [{"name": name, "namespace": namespace, "kind": "i64",
                          "initial": world.serial}]}, 1
@@ -175,6 +180,7 @@ def step_macro_globals(world: World, data) -> tuple[dict, int]:
             qualified = _join(data.draw(st.sampled_from(world.namespaces)), world.fresh("g"))
             world.globals.append(qualified)
             added += 1
+        world.values[qualified] = world.serial
         statements.append({"op": "gset", "name": qualified,
                            "value": {"op": "const", "value": world.serial}})
     return {"statements": statements}, added
@@ -191,11 +197,39 @@ def apply(world: World, manifest: dict, as_macro: bool) -> None:
         merge(world.registry, parse_manifest(json.dumps(manifest)), world.heap)
 
 
-def check_mirror(world: World, added: int) -> None:
+def resolve(bridge: Bridge, qualified: str):
+    """`root.A.B…`: one `get_member` per level, as a script reads it."""
+    value = NsRef("")
+    for part in qualified.split("."):
+        value = bridge.get_member(value, part)
+    return value
+
+
+def check_snapshot(world: World, added: int) -> None:
+    bridge, names = world.bridge, world.names()
+    new = names - world.shown
+    assert len(new) == added
+    for qualified in new:  # declared, not yet refreshed: hidden both ways
+        namespace, name = _split(qualified)
+        with pytest.raises(ScriptNameError):
+            resolve(bridge, qualified)
+        hidden = "has no member" if namespace in world.shown or not namespace else "is not exposed"
+        with pytest.raises(ScriptNameError, match=hidden):
+            bridge.set_member(NsRef(namespace), name, 0.0)
+    for qualified in world.shown:
+        assert resolve(bridge, qualified) == world.marker(qualified)
     assert refresh(world.root, world.registry) == added
     assert world.root.version_seen == world.registry.version
-    expected = tree_from_enumerate(world.registry)
-    assert dataclasses.asdict(world.root.tree) == dataclasses.asdict(expected)
+    for qualified in new:
+        assert resolve(bridge, qualified) == world.marker(qualified)
+    for qualified in names:  # globals write through, everything else is read-only
+        namespace, name = _split(qualified)
+        if qualified in world.values:
+            bridge.set_member(NsRef(namespace), name, world.marker(qualified))
+        else:
+            with pytest.raises(ScriptTypeError, match="read-only"):
+                bridge.set_member(NsRef(namespace), name, 0.0)
+    world.shown = names
 
 
 def check_layouts(world: World) -> None:
@@ -261,23 +295,32 @@ def check_index(world: World) -> None:
 @given(data=st.data())
 def test_incremental_mirror_and_layouts_track_random_sequences(data):
     world = World()
-    check_mirror(world, 0)
-    for _ in range(data.draw(st.integers(1, 14))):
-        step = data.draw(st.sampled_from(STEPS))
-        manifest, added = step(world, data)
-        as_macro = data.draw(st.booleans())
-        if as_macro and "statements" not in manifest and data.draw(st.booleans()):
-            statements, more = step_macro_globals(world, data)  # declarations land first
-            manifest.update(statements)
-            added += more
-        apply(world, manifest, as_macro)
-        check_mirror(world, added)
-        check_layouts(world)
-        check_index(world)
+    try:
+        check_snapshot(world, 0)
+        for _ in range(data.draw(st.integers(1, 14))):
+            step = data.draw(st.sampled_from(STEPS))
+            manifest, added = step(world, data)
+            as_macro = data.draw(st.booleans())
+            if as_macro and "statements" not in manifest and data.draw(st.booleans()):
+                statements, more = step_macro_globals(world, data)  # declarations land first
+                manifest.update(statements)
+                added += more
+            apply(world, manifest, as_macro)
+            check_snapshot(world, added)
+            check_layouts(world)
+            check_index(world)
+    finally:
+        world.bridge.shutdown()
 
 
-def test_extension_of_memoised_base_is_seen_and_hidden_by_nearest():
-    world = World()
+@pytest.fixture
+def world():
+    made = World()
+    yield made
+    made.bridge.shutdown()
+
+
+def test_extension_of_memoised_base_is_seen_and_hidden_by_nearest(world):
     merge(world.registry, parse_manifest(json.dumps({"types": [
         {"name": "Base"},
         {"name": "Derived", "bases": ["Base"], "methods": [{"name": "Own"}]},
@@ -293,8 +336,7 @@ def test_extension_of_memoised_base_is_seen_and_hidden_by_nearest():
     assert registry.method_set("Derived", "Own") is derived.methods["Own"]
 
 
-def test_unknown_type_is_not_memoised():
-    world = World()
+def test_unknown_type_is_not_memoised(world):
     registry = world.registry
     assert registry.base_chain("Later") == []
     assert registry.subtype_distance("Later", "Root") is None
@@ -305,14 +347,15 @@ def test_unknown_type_is_not_memoised():
     assert registry.subtype_distance("Later", "Root") == 1
 
 
-def test_extra_overload_is_not_a_new_name():
-    world = World()
+def test_extra_overload_is_not_a_new_name(world):
     registry = world.registry
     merge(registry, parse_manifest(json.dumps(
         {"functions": [{"name": "F", "namespace": "A.B"}]})), world.heap)
-    assert registry.journal == [("namespace", "A"), ("namespace", "A.B"), ("function", "A.B.F")]
+    assert registry.order == {"A": 0, "A.B": 1, "A.B.F": 2}
     merge(registry, parse_manifest(json.dumps(
         {"functions": [{"name": "F", "namespace": "A.B", "params": ["i64"]}]})), world.heap)
-    assert len(registry.journal) == 3
+    assert registry.order == {"A": 0, "A.B": 1, "A.B.F": 2}
     assert refresh(world.root, registry) == 3
     assert refresh(world.root, registry) == 0
+    assert resolve(world.bridge, "A.B") == NsRef("A.B")
+    assert resolve(world.bridge, "A.B.F") == FnRef("A.B.F")

@@ -131,6 +131,16 @@ def test_builtin_name_must_be_a_string():
         parse_manifest(json.dumps(bad))
 
 
+@pytest.mark.parametrize("count, bound", [(0, "at least 1"), (2, "at most 1")])
+def test_builtin_arity_error_names_the_bound_that_was_crossed(count, bound):
+    args = [{"op": "const", "value": 4.0}] * count
+    body = [{"op": "ret", "value": {"op": "builtin", "name": "sqrt", "args": args}}]
+    bad = {"functions": [{"name": "F", "returns": "f64", "body": body}]}
+    with pytest.raises(ValidationError) as caught:
+        parse_manifest(json.dumps(bad))
+    assert str(caught.value) == f"functions[0]: builtin 'sqrt' takes {bound} argument(s)"
+
+
 def test_deeply_nested_json_is_a_parse_error():
     with pytest.raises(ParseError, match="nesting too deep"):
         parse_manifest("[" * 100000)
