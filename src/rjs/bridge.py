@@ -119,11 +119,6 @@ def weak_method(method: Callable[..., Any]) -> Callable[..., Any]:
     return call
 
 
-def _pending_calls(dispatcher: "weakref.ref[Dispatcher]") -> int:
-    engine = dispatcher()
-    return 0 if engine is None else engine.pending_count()
-
-
 def split_callback(args: list[Any]) -> tuple[list[Any], Callable[[Any], Any] | None]:
     """Separate the completion callback from the call arguments.
 
@@ -212,7 +207,8 @@ class ResolvedCall:
 class Bridge:
     """Glue object owning the root object, proxy cache and dispatcher.
 
-    One Bridge per embedding context. The error sink receives faults from
+    One Bridge per embedding context, with a heap of its own; several
+    bridges may share a registry. The error sink receives faults from
     asynchronous calls (the completion callback itself only ever sees the
     success value); every sunk fault is also recorded on `async_faults`
     so batch mode can exit nonzero.
@@ -221,12 +217,11 @@ class Bridge:
     def __init__(
         self,
         registry: Registry | None = None,
-        heap: Heap | None = None,
         workers: int | None = None,
         diag: TextIO | None = None,
     ):
         self.registry = registry if registry is not None else Registry()
-        self.heap = heap if heap is not None else Heap(self.registry)
+        self.heap = Heap(self.registry)
         self.factory = ProxyFactory()
         self.diag = diag if diag is not None else sys.stderr
         self.async_faults: list[tuple[int, Exception]] = []
@@ -238,8 +233,6 @@ class Bridge:
             error_sink=weak_method(self._sink),
             diag=self.diag,
         )
-        # a lent registry can outlive this bridge: with no engine, nothing is in flight
-        self.registry.busy_check = functools.partial(_pending_calls, weakref.ref(self.dispatcher))
         self.root = build_root(self.registry)
 
     # -- error sink ------------------------------------------------------------

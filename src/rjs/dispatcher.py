@@ -20,6 +20,7 @@ import queue
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
 
@@ -96,6 +97,7 @@ class Dispatcher:
 
     The pool size is fixed at construction; its threads start on the
     first `submit`, so an engine that only ever runs sync calls starts none.
+    It joins its heap's registry (`Registry.engines`) until it is freed.
     """
 
     def __init__(
@@ -119,6 +121,7 @@ class Dispatcher:
         self._stopped = False
         self._home_thread = threading.get_ident()
         self._threads: list[threading.Thread] = []  # started ones only
+        heap.registry.engines.append(weakref.ref(self, heap.registry.engines.remove))
 
     # -- submission ---------------------------------------------------------
 

@@ -199,13 +199,12 @@ class Heap:
             obj.storage[name] = value
 
     def read_global(self, qualified: str) -> HostValue:
+        """This heap's value of the global; its declared initial until one is stored."""
         with self._lock:
             decl = self.registry.find_global(qualified)
             if decl is None:
                 raise UnknownGlobal(f"unknown global {qualified!r}")
-            if qualified not in self.globals:
-                self.globals[qualified] = decl.initial
-            return self.globals[qualified]
+            return self.globals.get(qualified, decl.initial)
 
     def write_global(self, qualified: str, value: HostValue) -> None:
         with self._lock:
@@ -331,10 +330,8 @@ class Heap:
             kind = self._kind_for_value(value)
             if kind is None:
                 raise HostExecError(f"cannot infer a storage kind for global {qualified!r}")
-            self.registry.declare_global(qualified, kind, value)
-            with self._lock:
-                self.globals[qualified] = value
-            return
+            initial = ref(0) if kind.tag == TAG_OBJ else value  # a declaration holds no handle
+            decl = self.registry.declare_global(qualified, kind, initial)
         self.write_global(qualified, self._implicit(decl.kind, value))
 
     def _kind_for_value(self, value: HostValue) -> ValueKind | None:
@@ -560,7 +557,10 @@ def _bin_op(node: BinOp) -> Step:
             raise HostExecError(f"operator {op!r} requires numeric operands, got {lv.tag}/{rv.tag}")
         if ltag == rtag == TAG_I64:
             return on_ints(lv.value, rv.value)
-        return on_floats(float(lv.value), float(rv.value))
+        result = on_floats(float(lv.value), float(rv.value))
+        if not math.isfinite(result.value):  # type: ignore[arg-type]
+            raise HostExecError(f"operator {op!r} gives a non-finite f64")
+        return result
     return bin_op
 
 

@@ -423,8 +423,9 @@ class Registry:
     0-based declaration number. `declare` is the only writer of both and
     of the nodes' child maps; names are never removed, so a bridge shows
     scripts the names numbered below its cursor and moves the cursor on
-    a refresh. `busy_check`, when set, returns the number of in-flight
-    asynchronous calls and gates mutations (the quiescence rule).
+    a refresh. It holds declarations only, never a heap's values. Each
+    dispatcher on one of its heaps adds a weak reference to `engines`; a
+    mutation is refused while any has a call pending (quiescence).
     """
 
     def __init__(self) -> None:
@@ -435,7 +436,7 @@ class Registry:
         self.order: dict[str, int] = {}
         self._layouts: dict[str, TypeLayout] = {}
         self._walked: dict[str, TypeLayout] = {}  # see `hand_over_layouts`
-        self.busy_check = None  # optional () -> int, wired by the bridge
+        self.engines: list = []  # `weakref.ref`s to dispatchers; see `Dispatcher.__init__`
 
     # -- lookup / enumeration ------------------------------------------------
 

@@ -831,10 +831,11 @@ class _MergePlan:
 
 
 def _check_quiescent(registry: Registry) -> None:
-    if registry.busy_check is not None:
-        pending = registry.busy_check()
-        if pending > 0:
-            raise NotQuiescent(f"{pending} asynchronous call(s) in flight")
+    # a snapshot: a discarded engine's reference removes itself, from any thread
+    engines = (engine() for engine in tuple(registry.engines))
+    pending = sum(engine.pending_count() for engine in engines if engine is not None)
+    if pending > 0:
+        raise NotQuiescent(f"{pending} asynchronous call(s) in flight")
 
 
 def merge(registry: Registry, ast: ManifestAST, heap: Heap | None = None) -> int:
@@ -842,7 +843,7 @@ def merge(registry: Registry, ast: ManifestAST, heap: Heap | None = None) -> int
 
     Atomic with respect to failures: a conflict leaves the registry (and
     version) untouched. When a heap is supplied, newly declared globals
-    get their initial values stored.
+    get their initial values stored there (`Heap.write_global`).
     """
     _check_quiescent(registry)
     if ast.statements:
@@ -1010,4 +1011,4 @@ def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> Non
     for decl in plan.globals:
         registry.declare("global", decl.qualified, decl)
         if heap is not None:
-            heap.globals[decl.qualified] = decl.initial
+            heap.write_global(decl.qualified, decl.initial)

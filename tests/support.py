@@ -322,7 +322,10 @@ class BodyOracle:
             raise BodyFault("operator '%' requires integer operands")
         if op == "/" and b == 0:
             raise BodyFault("floating-point division by zero")
-        return ("f64", _OPS[op](float(a), float(b)))
+        result = _OPS[op](float(a), float(b))
+        if not math.isfinite(result):
+            raise BodyFault(f"operator {op!r} gives a non-finite f64")
+        return ("f64", result)
 
     @staticmethod
     def _builtin(name: str, values: list[tuple]) -> tuple:

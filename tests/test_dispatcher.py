@@ -12,8 +12,8 @@ import types
 import pytest
 
 import rjs.dispatcher
-from rjs import CallTask, Dispatcher, FnRef, Heap, Registry, i64, resolve_worker_count
-from rjs.errors import DomainError, EngineStopped
+from rjs import CallTask, Dispatcher, FnRef, Heap, Registry, i64, merge, parse_manifest, resolve_worker_count
+from rjs.errors import DomainError, EngineStopped, NotQuiescent
 from rjs.model import Builtin, Const, ExprStmt, K_I64, MethodSignature, Param, Return
 
 
@@ -329,3 +329,40 @@ def test_concurrent_first_submits_never_start_more_than_worker_count():
         engine.shutdown()
     assert sorted(got) == list(range(submitters * per_submitter))
     assert not any(t.is_alive() for t in started)
+
+
+def test_engines_join_and_leave_a_registry_under_concurrent_merges():
+    registry = Registry()
+    heap = Heap(registry)
+    held = Dispatcher(heap, workers=1)  # stays alive throughout
+    churners, per_churner = 4, 300
+    gate = threading.Barrier(churners + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def churn() -> None:
+            gate.wait(timeout=5)
+            for _ in range(per_churner):
+                Dispatcher(heap, workers=1)  # joins, then leaves as it is freed
+
+        threads = [threading.Thread(target=churn) for _ in range(churners)]
+        for t in threads:
+            t.start()
+        gate.wait(timeout=5)
+        merges = 0
+        while any(t.is_alive() for t in threads):
+            merges += 1
+            assert merge(registry, parse_manifest(json.dumps({"namespaces": [f"N{merges}"]})), heap) == merges
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [engine() for engine in registry.engines] == [held]
+    held.submit(CallTask(signature=sleep_body(100)), lambda v: None)
+    try:
+        with pytest.raises(NotQuiescent, match=r"^1 asynchronous call\(s\) in flight$"):
+            merge(registry, parse_manifest('{"namespaces": ["Last"]}'), heap)
+        assert held.drain(5000)
+    finally:
+        held.shutdown()

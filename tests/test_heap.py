@@ -260,6 +260,14 @@ def test_global_write_then_read(world):
     assert heap.read_global("counter") == i64(7)
 
 
+def test_reading_a_global_stores_nothing(world):
+    registry, heap = world
+    merge(registry, parse_manifest(json.dumps(
+        {"globals": [{"name": "level", "kind": "i64", "initial": 3}]})))
+    assert heap.read_global("level") == i64(3)
+    assert "level" not in heap.globals
+
+
 def test_undeclared_global(world):
     _, heap = world
     with pytest.raises(UnknownGlobal):
@@ -382,6 +390,21 @@ def test_mixed_numeric_promotes_to_f64(world):
     sig = MethodSignature((), K_F64, True,
                           (Return(BinOp("+", Const(i64(1)), Const(f64(0.5)))),))
     assert heap.exec_body(None, sig, []) == f64(1.5)
+
+
+@pytest.mark.parametrize("op, left, right", [
+    ("*", 1e300, 1e300),
+    ("+", 1.7e308, 1.7e308),
+    ("-", -1.7e308, 1.7e308),
+    ("/", 1e300, 1e-300),
+])
+def test_f64_arithmetic_never_yields_a_non_finite_value(world, op, left, right):
+    registry, heap = world
+    text = json.dumps({"statements": [{"op": "ret", "value": {
+        "op": "bin", "o": op, "l": {"op": "const", "value": left}, "r": {"op": "const", "value": right}}}]})
+    with pytest.raises(HostExecError) as excinfo:
+        eval_macro(registry, heap, text)
+    assert str(excinfo.value) == f"operator {op!r} gives a non-finite f64"
 
 
 def test_return_widens_like_a_store_and_rejects_other_kinds(world):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from rjs import Heap, Registry
+from rjs import CallTask, Dispatcher, Heap, Registry, i64
 from rjs.errors import (
     ConflictError,
     HostExecError,
@@ -19,7 +19,7 @@ from rjs.errors import (
     UnknownType,
     ValidationError,
 )
-from rjs.model import NamespaceNode, OverloadSet
+from rjs.model import Builtin, Const, ExprStmt, MethodSignature, NamespaceNode, OverloadSet
 from rjs.registry import eval_macro, merge, parse_manifest
 
 PI_MANIFEST = json.dumps({
@@ -304,10 +304,18 @@ def test_each_merge_time_rule_names_its_fault(registry, heap, section, error, me
 
 
 def test_merge_requires_quiescence(registry, heap):
-    registry.busy_check = lambda: 2
-    with pytest.raises(NotQuiescent):
-        merge(registry, parse_manifest('{"namespaces": ["N"]}'), heap)
-    assert registry.version == 0
+    engine = Dispatcher(heap, workers=2)
+    nap = MethodSignature((), body=(ExprStmt(Builtin("sleep_ms", (Const(i64(300)),))),))
+    try:
+        for _ in range(2):
+            engine.submit(CallTask(signature=nap), lambda v: None)
+        with pytest.raises(NotQuiescent, match=r"^2 asynchronous call\(s\) in flight$"):
+            merge(registry, parse_manifest('{"namespaces": ["N"]}'), heap)
+        assert registry.version == 0
+        assert engine.drain(5000)
+        assert merge(registry, parse_manifest('{"namespaces": ["N"]}'), heap) == 1
+    finally:
+        engine.shutdown()
 
 
 def test_statements_rejected_by_merge(registry, heap):

@@ -6,9 +6,28 @@ import io
 import json
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from rjs import Bridge, NsRef
-from rjs.errors import HostExecError, ScriptNameError, ScriptTypeError
+from rjs import (
+    VOID,
+    Bridge,
+    CallTask,
+    Dispatcher,
+    FnRef,
+    Heap,
+    MethodSignature,
+    NsRef,
+    Proxy,
+    Registry,
+    i64,
+    merge,
+    parse_manifest,
+    ref,
+)
+from rjs.errors import HostExecError, NotQuiescent, ScriptNameError, ScriptTypeError
+from rjs.model import Builtin, Const, ExprStmt
 from rjs.registry import eval_macro
 from rjs.script import Interpreter, parse, render_value
 
@@ -112,3 +131,196 @@ def test_two_sessions_are_isolated():
     finally:
         first.shutdown()
         second.shutdown()
+
+
+# -- several engines on one registry -------------------------------------------------
+
+NAP_TEXT = json.dumps({"functions": [{"name": "Nap", "params": ["i64"], "returns": "i64", "body": [
+    {"op": "builtin", "name": "sleep_ms", "args": [{"op": "param", "index": 0}]},
+    {"op": "ret", "value": {"op": "param", "index": 0}}]}]})
+
+
+def _nap(ms: int) -> MethodSignature:
+    return MethodSignature((), body=(ExprStmt(Builtin("sleep_ms", (Const(i64(ms)),))),))
+
+
+def _global_text(name: str) -> str:
+    return json.dumps({"globals": [{"name": name, "kind": "i64"}]})
+
+
+def _in_flight(count: int) -> str:
+    return rf"^{count} asynchronous call\(s\) in flight$"
+
+
+def test_every_bridge_on_a_registry_gates_its_merges():
+    registry = Registry()
+    a = Bridge(registry=registry, workers=1, diag=io.StringIO())
+    b = Bridge(registry=registry, workers=1, diag=io.StringIO())  # joins; does not replace `a`
+    try:
+        a.evalmacro(NAP_TEXT)
+        got: list = []
+        a.invoke(FnRef("Nap"), [300.0, got.append])
+        with pytest.raises(NotQuiescent, match=_in_flight(1)):
+            a.evalmacro(_global_text("g"))
+        with pytest.raises(NotQuiescent, match=_in_flight(1)):
+            b.evalmacro(_global_text("g"))
+        assert registry.version == 1
+        assert a.dispatcher.drain(5000) and got == [300.0]
+        b.evalmacro(_global_text("g"))
+        assert registry.version == 2
+    finally:
+        a.shutdown()
+        b.shutdown()
+
+
+def test_a_standalone_dispatcher_gates_merges():
+    registry = Registry()
+    heap, other_heap = Heap(registry), Heap(registry)
+    engine = Dispatcher(other_heap, workers=1)  # an engine on another heap of the registry
+    try:
+        engine.submit(CallTask(signature=_nap(300)), lambda v: None)
+        with pytest.raises(NotQuiescent, match=_in_flight(1)):
+            merge(registry, parse_manifest('{"namespaces": ["N"]}'), heap)
+        with pytest.raises(NotQuiescent, match=_in_flight(1)):
+            eval_macro(registry, heap, _global_text("g"))
+        assert registry.version == 0
+        assert engine.drain(5000)
+        assert merge(registry, parse_manifest('{"namespaces": ["N"]}'), heap) == 1
+    finally:
+        engine.shutdown()
+    del engine
+    assert registry.engines == []
+
+
+def test_a_macro_object_global_holds_no_handle_of_its_creator(sample_plugin):
+    registry = Registry()
+    a = Bridge(registry=registry, workers=1, diag=io.StringIO())
+    b = Bridge(registry=registry, workers=1, diag=io.StringIO())
+    out_a, out_b = io.StringIO(), io.StringIO()
+    try:
+        a.loadlibrary(str(sample_plugin))
+        b.refresh()
+        Interpreter(b, out_b).run(parse("let v = root.TVector3(1, 2, 3); print(v);"))
+        a.evalmacro(json.dumps({"statements": [
+            {"op": "gset", "name": "gH", "value": {"op": "new", "type": "TGraph", "args": []}}]}))
+        b.refresh()
+        Interpreter(b, out_b).run(parse("print(root.gH);"))
+        Interpreter(a, out_a).run(parse("print(root.gH);"))
+        assert out_b.getvalue() == "<TVector3 @0x1000>\nnull\n"
+        assert out_a.getvalue() == "<TGraph @0x1000>\n"
+        assert registry.find_global("gH").initial == ref(0)
+    finally:
+        a.shutdown()
+        b.shutdown()
+
+
+class SharedRegistry(RuleBasedStateMachine):
+    """Two bridges and a standalone dispatcher on one registry.
+
+    The model counts each live engine's undelivered calls, and records
+    which bridge created each macro object global.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.registry = Registry()
+        self.bridges: dict[int, Bridge] = {}
+        for key in (0, 1):
+            self.bridges[key] = Bridge(registry=self.registry, workers=1, diag=io.StringIO())
+        self.bridges[0].evalmacro(NAP_TEXT)
+        self.bridges[0].evalmacro(json.dumps({"types": [{"name": "Box"}]}))
+        self.heap = Heap(self.registry)
+        self.engine = Dispatcher(self.heap, workers=1)
+        self.pending = {0: 0, 1: 0, "engine": 0}  # live engines only
+        self.submitted = dict(self.pending)
+        self.delivered: dict = {key: [] for key in self.pending}
+        self.object_globals: dict[str, int] = {}  # name -> creating bridge
+        self.names = 0
+
+    def _fresh(self) -> str:
+        self.names += 1
+        return f"g{self.names}"
+
+    def _live_bridge(self, data) -> int:
+        return data.draw(st.sampled_from(sorted(self.bridges)))
+
+    def _expect_merge(self, apply) -> bool:
+        """Run a registry change; True if it applied. Refused exactly while calls are pending."""
+        version, total = self.registry.version, sum(self.pending.values())
+        if total:
+            with pytest.raises(NotQuiescent, match=_in_flight(total)):
+                apply()
+            assert self.registry.version == version
+            return False
+        apply()
+        assert self.registry.version == version + 1
+        return True
+
+    @rule(data=st.data())
+    def submit(self, data):
+        key = data.draw(st.sampled_from(sorted(self.pending, key=str)))
+        sink = self.delivered[key].append
+        if key == "engine":
+            self.engine.submit(CallTask(signature=_nap(20)), sink)
+        else:
+            assert self.bridges[key].invoke(FnRef("Nap"), [20.0, sink]).pending
+        self.pending[key] += 1
+        self.submitted[key] += 1
+
+    @precondition(lambda self: any(self.pending.values()))
+    @rule(data=st.data())
+    def drain(self, data):
+        key = data.draw(st.sampled_from(sorted((k for k, n in self.pending.items() if n), key=str)))
+        engine = self.engine if key == "engine" else self.bridges[key].dispatcher
+        assert engine.drain(5000)
+        self.pending[key] = 0
+        assert self.delivered[key] == [20.0 if key != "engine" else VOID] * self.submitted[key]
+
+    @rule(data=st.data())
+    def merge_a_global(self, data):
+        text = _global_text(self._fresh())
+        via = data.draw(st.sampled_from([*sorted(self.bridges), "merge"]))
+        if via == "merge":
+            self._expect_merge(lambda: merge(self.registry, parse_manifest(text), self.heap))
+        else:
+            self._expect_merge(lambda: self.bridges[via].evalmacro(text))
+
+    @precondition(lambda self: self.bridges)
+    @rule(data=st.data())
+    def create_object_global(self, data):
+        key = self._live_bridge(data)
+        name = self._fresh()
+        text = json.dumps({"statements": [
+            {"op": "gset", "name": name, "value": {"op": "new", "type": "Box", "args": []}}]})
+        if self._expect_merge(lambda: self.bridges[key].evalmacro(text)):
+            self.object_globals[name] = key
+
+    @precondition(lambda self: self.bridges)
+    @rule(data=st.data())
+    def discard_bridge(self, data):
+        key = self._live_bridge(data)
+        self.bridges.pop(key).shutdown()
+        del self.pending[key]
+        assert len(self.registry.engines) == len(self.pending)
+
+    @invariant()
+    def object_globals_are_their_creators_own(self):
+        for name, creator in self.object_globals.items():
+            for key, bridge in self.bridges.items():
+                bridge.refresh()
+                value = bridge.get_member(NsRef(""), name)
+                if key == creator:
+                    assert isinstance(value, Proxy) and value.type_name == "Box"
+                    assert bridge.heap.normalize(value.canonical) == value.canonical
+                else:
+                    assert value is None
+            assert self.heap.read_global(name) == ref(0)
+
+    def teardown(self) -> None:
+        for bridge in self.bridges.values():
+            bridge.shutdown()
+        self.engine.shutdown()
+
+
+SharedRegistry.TestCase.settings = settings(max_examples=25, stateful_step_count=15, deadline=None)
+test_shared_registry = SharedRegistry.TestCase
