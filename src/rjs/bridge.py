@@ -15,6 +15,7 @@ kind), str, bool, None, callables, and the small marker types below.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import weakref
 from dataclasses import dataclass
@@ -312,7 +313,7 @@ class Bridge:
         if isinstance(value, (int, float)):
             number = float(value)
             if kind.tag == "f64":
-                return 0, f64(number)
+                return (0, f64(number)) if math.isfinite(number) else None
             if kind.tag == "i64":
                 if number.is_integer() and -(2**63) <= number < 2**63:
                     return 1, i64(int(number))
@@ -563,7 +564,7 @@ def _script_kind_name(value: Any) -> str:
     if isinstance(value, bool):
         return "bool"
     if isinstance(value, (int, float)):
-        return "number"
+        return "number" if math.isfinite(value) else "non-finite number"
     if isinstance(value, str):
         return "string"
     if isinstance(value, Proxy):

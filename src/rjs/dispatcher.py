@@ -20,7 +20,6 @@ import queue
 import sys
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
 
@@ -97,7 +96,7 @@ class Dispatcher:
 
     The pool size is fixed at construction; its threads start on the
     first `submit`, so an engine that only ever runs sync calls starts none.
-    It joins its heap's registry (`Registry.engines`) until it is freed.
+    It is in its heap's `Registry.engines` from then until `shutdown`.
     """
 
     def __init__(
@@ -121,7 +120,6 @@ class Dispatcher:
         self._stopped = False
         self._home_thread = threading.get_ident()
         self._threads: list[threading.Thread] = []  # started ones only
-        heap.registry.engines.append(weakref.ref(self, heap.registry.engines.remove))
 
     # -- submission ---------------------------------------------------------
 
@@ -136,6 +134,7 @@ class Dispatcher:
                                           name=f"rjs-worker-{len(self._threads)}", daemon=True)
                 thread.start()
                 self._threads.append(thread)
+            self.heap.registry.engines.add(self)  # keeps nothing alive: its workers hold it until shutdown
             task.call_id = self._next_id
             self._next_id += 1
             self._pending[task.call_id] = callback
@@ -242,8 +241,8 @@ class Dispatcher:
     # -- lifecycle ----------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop accepting work; workers finish queued tasks, completions stay
-        deliverable through process_events. Joins only the threads started."""
+        """Stop accepting work and join the started workers, then leave the registry:
+        completions stay deliverable through process_events but no longer gate merges."""
         with self._lock:
             if self._stopped:
                 return
@@ -252,3 +251,4 @@ class Dispatcher:
             self._tasks.put(None)
         for t in self._threads:
             t.join()
+        self.heap.registry.engines.discard(self)

@@ -423,9 +423,9 @@ class Registry:
     0-based declaration number. `declare` is the only writer of both and
     of the nodes' child maps; names are never removed, so a bridge shows
     scripts the names numbered below its cursor and moves the cursor on
-    a refresh. It holds declarations only, never a heap's values. Each
-    dispatcher on one of its heaps adds a weak reference to `engines`; a
-    mutation is refused while any has a call pending (quiescence).
+    a refresh. It holds declarations only, never a heap's values. `engines`
+    holds each dispatcher on its heaps from its first asynchronous call to
+    its `shutdown`; no mutation while any has a call pending (quiescence).
     """
 
     def __init__(self) -> None:
@@ -436,7 +436,7 @@ class Registry:
         self.order: dict[str, int] = {}
         self._layouts: dict[str, TypeLayout] = {}
         self._walked: dict[str, TypeLayout] = {}  # see `hand_over_layouts`
-        self.engines: list = []  # `weakref.ref`s to dispatchers; see `Dispatcher.__init__`
+        self.engines: set = set()  # dispatchers; see `Dispatcher.submit`
 
     # -- lookup / enumeration ------------------------------------------------
 

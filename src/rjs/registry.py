@@ -831,9 +831,8 @@ class _MergePlan:
 
 
 def _check_quiescent(registry: Registry) -> None:
-    # a snapshot: a discarded engine's reference removes itself, from any thread
-    engines = (engine() for engine in tuple(registry.engines))
-    pending = sum(engine.pending_count() for engine in engines if engine is not None)
+    # a snapshot: engines on other threads join and leave at any time
+    pending = sum(engine.pending_count() for engine in tuple(registry.engines))
     if pending > 0:
         raise NotQuiescent(f"{pending} asynchronous call(s) in flight")
 

@@ -50,6 +50,8 @@ def oracle_cost(
         return 0 if tag == "bool" else None
     if isinstance(value, (int, float)):
         v = float(value)
+        if v != v or v in (float("inf"), float("-inf")):
+            return None  # no kind takes a non-finite number
         if tag == "f64":
             return 0
         if tag == "i64":

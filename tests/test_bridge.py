@@ -247,6 +247,34 @@ def test_to_host_bool(bridge):
         bridge.to_host(True, K_I64)  # bool is not a number script-side
 
 
+@pytest.mark.parametrize("number", ["1/0", "0 - 1/0", "0/0"])
+@pytest.mark.parametrize("statement, error, message", [
+    ("root.TVector3({n}, 0, 0);", NoMatch,
+     "no overload of 'TVector3' accepts (non-finite number, number, number)"),
+    ('root.TH1D("h", "h").Fill({n});', NoMatch, "no overload of 'Fill' accepts (non-finite number)"),
+    ("v.x = {n};", ConversionError, "no conversion from non-finite number to f64"),
+    ("root.gScale = {n};", ConversionError, "no conversion from non-finite number to f64"),
+], ids=["constructor", "method", "field", "global"])
+def test_a_non_finite_number_never_reaches_f64_storage(bridge, sample_plugin, number, statement,
+                                                        error, message):
+    load(bridge, sample_plugin.read_text())
+    load(bridge, json.dumps({"globals": [{"name": "gScale", "kind": "f64", "initial": 2.5}]}))
+    out = io.StringIO()
+    interp = Interpreter(bridge, out)
+    interp.run(parse("let v = root.TVector3(1, 2, 3);"), interp.globals)
+    with pytest.raises(error) as raised:
+        interp.run(parse(statement.format(n=number)), interp.globals)
+    assert str(raised.value) == message
+    interp.run(parse("print(v.x); print(root.gScale);"), interp.globals)
+    assert out.getvalue() == "1\n2.5\n"
+
+
+def test_script_arithmetic_keeps_non_finite_numbers(bridge):
+    out = io.StringIO()
+    Interpreter(bridge, out).run(parse("print(1/0); print(0 - 1/0); print(0/0);"))
+    assert out.getvalue() == "Infinity\n-Infinity\nNaN\n"
+
+
 # -- to_script ----------------------------------------------------------------------
 
 
@@ -397,6 +425,19 @@ def test_resolution_agrees_with_exhaustive_oracle(bridge):
         assert actual[0] == expected[0], (param_lists, args, expected, actual)
         if expected[0] == "ok":
             assert actual[1] == expected[1]
+
+
+def test_no_overload_accepts_a_non_finite_number(bridge):
+    proxies, enums = support.load_overload_fixture(bridge)
+    rng = random.Random(43)
+    for _ in range(300):
+        param_lists = support.random_param_lists(rng)
+        args = [support.random_arg(rng, proxies) for _ in range(rng.randint(0, 2))]
+        args.insert(rng.randint(0, len(args)), rng.choice([float("inf"), float("-inf"), float("nan")]))
+        assert support.oracle_classify(param_lists, args, enums, support.OVERLOAD_TYPE_BASES) \
+            == ("nomatch", None)
+        with pytest.raises(NoMatch, match=r"non-finite number"):
+            bridge.resolve_overload(OverloadSet("f", [MethodSignature(p) for p in param_lists]), args)
 
 
 # -- invoke -------------------------------------------------------------------------
@@ -735,7 +776,7 @@ def test_lent_registry_outlives_its_bridge():
     b = Bridge(registry=registry, workers=1, diag=io.StringIO())
     b.shutdown()
     del b
-    assert registry.engines == []
+    assert registry.engines == set()
     assert merge(registry, parse_manifest(PI_MANIFEST)) == 1
 
 

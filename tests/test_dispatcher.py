@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 import threading
 import time
@@ -334,35 +335,52 @@ def test_concurrent_first_submits_never_start_more_than_worker_count():
 def test_engines_join_and_leave_a_registry_under_concurrent_merges():
     registry = Registry()
     heap = Heap(registry)
-    held = Dispatcher(heap, workers=1)  # stays alive throughout
+    held = Dispatcher(heap, workers=1)  # idle until the end, so not a member
     churners, per_churner = 4, 300
     gate = threading.Barrier(churners + 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        undrained: list[Dispatcher] = []
+
         def churn() -> None:
             gate.wait(timeout=5)
             for _ in range(per_churner):
-                Dispatcher(heap, workers=1)  # joins, then leaves as it is freed
+                engine = Dispatcher(heap, workers=1)
+                engine.submit(CallTask(signature=sleep_body(0)), lambda v: None)  # joins
+                if not engine.drain(5000):
+                    undrained.append(engine)
+                engine.shutdown()  # leaves after its worker is joined
 
         threads = [threading.Thread(target=churn) for _ in range(churners)]
         for t in threads:
             t.start()
         gate.wait(timeout=5)
-        merges = 0
+        applied = refused = 0
         while any(t.is_alive() for t in threads):
-            merges += 1
-            assert merge(registry, parse_manifest(json.dumps({"namespaces": [f"N{merges}"]})), heap) == merges
+            version = registry.version
+            text = json.dumps({"namespaces": [f"N{version + 1}"]})
+            try:
+                assert merge(registry, parse_manifest(text), heap) == version + 1
+                applied += 1
+            except NotQuiescent as exc:
+                assert re.fullmatch(r"([1-9][0-9]*) asynchronous call\(s\) in flight", str(exc))
+                assert registry.version == version
+                refused += 1
         for t in threads:
             t.join(timeout=10)
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert [engine() for engine in registry.engines] == [held]
+    assert undrained == [] and refused > 0 and registry.version == applied > 0
+    assert registry.engines == set()
     held.submit(CallTask(signature=sleep_body(100)), lambda v: None)
     try:
+        assert registry.engines == {held}
         with pytest.raises(NotQuiescent, match=r"^1 asynchronous call\(s\) in flight$"):
             merge(registry, parse_manifest('{"namespaces": ["Last"]}'), heap)
         assert held.drain(5000)
+        assert merge(registry, parse_manifest('{"namespaces": ["Last"]}'), heap) == applied + 1
     finally:
         held.shutdown()
+    assert registry.engines == set()

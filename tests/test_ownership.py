@@ -5,7 +5,8 @@ registry holds declarations only. This parses every runtime module and
 fails on any store into, or `del` of, an item of an attribute with one
 of those table names outside `heap.py`, and on a store of a global's
 value anywhere in `heap.py` but `Heap.write_global`. Reading is allowed
-anywhere.
+anywhere. Likewise only an engine's lifecycle changes `Registry.engines`:
+`Dispatcher.submit` adds, `Dispatcher.shutdown` discards.
 """
 
 from __future__ import annotations
@@ -91,3 +92,92 @@ def test_write_global_is_the_one_store_of_a_global_value():
         if isinstance(fn, ast.FunctionDef) and _stores(fn, {"globals"})
     }
     assert storing == {"write_global"}
+
+
+# -- `Registry.engines` changes only on an engine's lifecycle ---------------------------
+
+ENGINES_MUTATORS = {"add", "discard", "append", "remove", "clear", "update", "pop"}
+ENGINES_ALLOWED = {
+    ("Registry.__init__", "="),
+    ("Dispatcher.submit", "add"),
+    ("Dispatcher.shutdown", "discard"),
+}
+ALL_SOURCES = sorted((REPO_ROOT / "src" / "rjs").glob("*.py"))
+
+
+def _is_engines(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "engines"
+
+
+def engines_changes(tree: ast.AST, scope: str = "") -> list[tuple[str, str, int]]:
+    """(enclosing class.function, change, line) of each assignment to or `del` of an
+    attribute named `engines`, and of each mutating method referenced on one."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += engines_changes(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        for target in _targets(node):
+            for leaf in _unpacked(target):
+                if _is_engines(leaf):
+                    found.append((scope, "del" if isinstance(node, ast.Delete) else "=", leaf.lineno))
+        if isinstance(node, ast.Attribute) and node.attr in ENGINES_MUTATORS and _is_engines(node.value):
+            found.append((scope, node.attr, node.lineno))
+        found += engines_changes(node, scope)
+    return found
+
+
+def engines_violations(source: str, filename: str = "<source>") -> list[str]:
+    """`file:line` and what of each change to `.engines` outside its lifecycle."""
+    return [
+        f"{filename}:{line} {scope or '<module>'} {change}"
+        for scope, change, line in engines_changes(ast.parse(source, filename))
+        if (scope, change) not in ENGINES_ALLOWED
+    ]
+
+
+@pytest.mark.parametrize("source, count", [
+    ("class Dispatcher:\n    def __init__(self, heap):\n"
+     "        heap.registry.engines.append(weakref.ref(self, heap.registry.engines.remove))", 2),
+    ("def f(registry):\n    registry.engines = []", 1),
+    ("def f(registry):\n    registry.engines |= {1}", 1),
+    ("def f(registry):\n    registry.engines: set = set()", 1),
+    ("def f(registry):\n    a, registry.engines = 1, set()", 1),
+    ("def f(registry):\n    del registry.engines", 1),
+    ("def f(registry):\n    registry.engines.clear()\n    registry.engines.update(())", 2),
+    ("sink = registry.engines.discard", 1),
+    ("class Dispatcher:\n    def submit(self):\n        self.heap.registry.engines.discard(self)", 1),
+    ("class Dispatcher:\n    def shutdown(self):\n        self.heap.registry.engines.pop()", 1),
+    ("class Dispatcher:\n    def submit(self):\n        def later():\n"
+     "            self.heap.registry.engines.add(self)", 1),
+    ("class Registry:\n    def merge(self):\n        self.engines = set()", 1),
+])
+def test_the_engines_lint_sees_each_change(source, count):
+    assert len(engines_violations(source)) == count
+
+
+@pytest.mark.parametrize("source", [
+    "class Registry:\n    def __init__(self):\n        self.engines: set = set()",
+    "class Dispatcher:\n    def submit(self):\n        self.heap.registry.engines.add(self)",
+    "class Dispatcher:\n    def shutdown(self):\n        self.heap.registry.engines.discard(self)",
+    "pending = sum(engine.pending_count() for engine in tuple(registry.engines))",
+    "engines = set()\nengines.add(1)",
+    "registry.engines_seen.add(1)",
+    "assert registry.engines == set()",
+])
+def test_the_engines_lint_passes_reads_and_the_lifecycle(source):
+    assert engines_violations(source) == []
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_only_an_engines_lifecycle_changes_registry_engines(path):
+    assert engines_violations(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_each_lifecycle_change_of_registry_engines_is_in_place():
+    found = {
+        (scope, change)
+        for path in ALL_SOURCES
+        for scope, change, _ in engines_changes(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == ENGINES_ALLOWED

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 from hypothesis import settings
@@ -155,7 +156,7 @@ def _in_flight(count: int) -> str:
 def test_every_bridge_on_a_registry_gates_its_merges():
     registry = Registry()
     a = Bridge(registry=registry, workers=1, diag=io.StringIO())
-    b = Bridge(registry=registry, workers=1, diag=io.StringIO())  # joins; does not replace `a`
+    b = Bridge(registry=registry, workers=1, diag=io.StringIO())  # shares; does not replace `a`
     try:
         a.evalmacro(NAP_TEXT)
         got: list = []
@@ -189,7 +190,50 @@ def test_a_standalone_dispatcher_gates_merges():
     finally:
         engine.shutdown()
     del engine
-    assert registry.engines == []
+    assert registry.engines == set()
+
+
+def test_a_shut_down_bridge_releases_its_registry():
+    registry = Registry()
+    a = Bridge(registry=registry, workers=1, diag=io.StringIO())
+    b = Bridge(registry=registry, workers=1, diag=io.StringIO())
+    try:
+        a.evalmacro(NAP_TEXT)
+        got: list = []
+        a.invoke(FnRef("Nap"), [10.0, got.append])
+        a.shutdown()  # `a` stays referenced, its completion undelivered
+        time.sleep(0.1)
+        assert registry.engines == set()
+        b.evalmacro('{"namespaces": ["N"]}')
+        assert registry.version == 2
+        assert got == []
+        assert a.dispatcher.process_events() == 1 and got == [10.0]
+        assert a.dispatcher.process_events() == 0
+    finally:
+        a.shutdown()
+        b.shutdown()
+
+
+def test_an_engine_joins_its_registry_on_its_first_asynchronous_call(sample_plugin):
+    registry = Registry()
+    bridge = Bridge(registry=registry, workers=1, diag=io.StringIO())
+    engine = Dispatcher(Heap(registry), workers=1)
+    try:
+        bridge.loadlibrary(str(sample_plugin))
+        out = io.StringIO()
+        Interpreter(bridge, out).run(parse("let v = root.TVector3(3, 4, 0); print(v.Mag());"))
+        assert out.getvalue() == "5\n"
+        assert registry.engines == set()  # a sync-only session never joins
+        engine.submit(CallTask(signature=_nap(0)), lambda v: None)
+        assert registry.engines == {engine}
+        bridge.invoke(FnRef("ROOT.Math.Sq"), [3.0, lambda v: None])
+        assert registry.engines == {engine, bridge.dispatcher}
+        assert engine.drain(5000) and bridge.dispatcher.drain(5000)
+        assert registry.engines == {engine, bridge.dispatcher}  # idle members until shutdown
+    finally:
+        engine.shutdown()
+        bridge.shutdown()
+    assert registry.engines == set()
 
 
 def test_a_macro_object_global_holds_no_handle_of_its_creator(sample_plugin):
@@ -217,8 +261,10 @@ def test_a_macro_object_global_holds_no_handle_of_its_creator(sample_plugin):
 class SharedRegistry(RuleBasedStateMachine):
     """Two bridges and a standalone dispatcher on one registry.
 
-    The model counts each live engine's undelivered calls, and records
-    which bridge created each macro object global.
+    The model counts the undelivered calls of each engine that has not
+    shut down, and of each bridge that was shut down but kept, and
+    records which bridge created each macro object global. The members
+    of `Registry.engines` are the live engines that have submitted.
     """
 
     def __init__(self) -> None:
@@ -231,7 +277,10 @@ class SharedRegistry(RuleBasedStateMachine):
         self.bridges[0].evalmacro(json.dumps({"types": [{"name": "Box"}]}))
         self.heap = Heap(self.registry)
         self.engine = Dispatcher(self.heap, workers=1)
-        self.pending = {0: 0, 1: 0, "engine": 0}  # live engines only
+        self.pending = {0: 0, 1: 0, "engine": 0}  # engines that have not shut down
+        self.joined: set = set()  # keys of those that have submitted
+        self.stopped: dict[int, Bridge] = {}  # shut down, still referenced
+        self.undelivered: dict[int, int] = {}  # their calls, which no longer count
         self.submitted = dict(self.pending)
         self.delivered: dict = {key: [] for key in self.pending}
         self.object_globals: dict[str, int] = {}  # name -> creating bridge
@@ -243,6 +292,9 @@ class SharedRegistry(RuleBasedStateMachine):
 
     def _live_bridge(self, data) -> int:
         return data.draw(st.sampled_from(sorted(self.bridges)))
+
+    def _dispatcher(self, key) -> Dispatcher:
+        return self.engine if key == "engine" else self.bridges[key].dispatcher
 
     def _expect_merge(self, apply) -> bool:
         """Run a registry change; True if it applied. Refused exactly while calls are pending."""
@@ -266,13 +318,13 @@ class SharedRegistry(RuleBasedStateMachine):
             assert self.bridges[key].invoke(FnRef("Nap"), [20.0, sink]).pending
         self.pending[key] += 1
         self.submitted[key] += 1
+        self.joined.add(key)
 
     @precondition(lambda self: any(self.pending.values()))
     @rule(data=st.data())
     def drain(self, data):
         key = data.draw(st.sampled_from(sorted((k for k, n in self.pending.items() if n), key=str)))
-        engine = self.engine if key == "engine" else self.bridges[key].dispatcher
-        assert engine.drain(5000)
+        assert self._dispatcher(key).drain(5000)
         self.pending[key] = 0
         assert self.delivered[key] == [20.0 if key != "engine" else VOID] * self.submitted[key]
 
@@ -301,7 +353,34 @@ class SharedRegistry(RuleBasedStateMachine):
         key = self._live_bridge(data)
         self.bridges.pop(key).shutdown()
         del self.pending[key]
-        assert len(self.registry.engines) == len(self.pending)
+        self.joined.discard(key)
+
+    @precondition(lambda self: any(self.pending.get(key) for key in self.bridges))
+    @rule(data=st.data())
+    def shut_down_with_calls_pending(self, data):
+        key = data.draw(st.sampled_from(sorted(k for k in self.bridges if self.pending[k])))
+        bridge = self.bridges.pop(key)
+        bridge.shutdown()
+        self.stopped[key] = bridge
+        self.undelivered[key] = self.pending.pop(key)
+        self.joined.discard(key)
+
+    @precondition(lambda self: any(self.undelivered.values()))
+    @rule(data=st.data())
+    def pump_a_shut_down_bridge(self, data):
+        self._pump(data.draw(st.sampled_from(sorted(k for k, n in self.undelivered.items() if n))))
+
+    def _pump(self, key: int) -> None:
+        """Each undelivered call of a shut-down bridge is delivered exactly once."""
+        dispatcher = self.stopped[key].dispatcher
+        assert dispatcher.process_events() == self.undelivered[key]
+        assert dispatcher.process_events() == 0
+        self.undelivered[key] = 0
+        assert self.delivered[key] == [20.0] * self.submitted[key]
+
+    @invariant()
+    def the_members_are_the_live_engines_that_submitted(self):
+        assert self.registry.engines == {self._dispatcher(key) for key in self.joined}
 
     @invariant()
     def object_globals_are_their_creators_own(self):
@@ -320,6 +399,8 @@ class SharedRegistry(RuleBasedStateMachine):
         for bridge in self.bridges.values():
             bridge.shutdown()
         self.engine.shutdown()
+        for key in self.stopped:
+            self._pump(key)
 
 
 SharedRegistry.TestCase.settings = settings(max_examples=25, stateful_step_count=15, deadline=None)
