@@ -63,24 +63,24 @@ MAX_SAFE_INTEGER = 2**53
 # script-side value markers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NsRef:
     """Reference to a namespace by path; resolved against the names scripts see."""
 
     path: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeRef:
     qualified: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FnRef:
     path: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proxy:
     """Script-side stand-in for one host object: identity, no data copies."""
 
@@ -91,7 +91,7 @@ class Proxy:
         return f"<{self.type_name} @{self.canonical:#x}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodRef:
     """A method looked up on a proxy (bound) or on a type (static access)."""
 
@@ -134,7 +134,7 @@ def split_callback(args: list[Any]) -> tuple[list[Any], Callable[[Any], Any] | N
 # root object
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class RootObject:
     """Top-level object of the bindings: a snapshot of the registry.
 
@@ -173,10 +173,10 @@ class ProxyFactory:
         self.cache: dict[int, Proxy] = {}
 
     def proxy_for(self, heap: Heap, handle: int) -> Proxy:
-        canonical = heap.normalize(handle)
+        canonical, type_name = heap.identify(handle)
         proxy = self.cache.get(canonical)
         if proxy is None:
-            proxy = Proxy(canonical, heap.objects[canonical].type_name)
+            proxy = Proxy(canonical, type_name)
             self.cache[canonical] = proxy
         return proxy
 
@@ -185,7 +185,7 @@ class ProxyFactory:
 # invocation result
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Invocation:
     """Either an immediate value (call_id None) or a pending call id."""
 
@@ -197,7 +197,7 @@ class Invocation:
         return self.call_id is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolvedCall:
     index: int
     signature: MethodSignature
@@ -418,8 +418,8 @@ class Bridge:
                 if desc is None:
                     raise ScriptNameError(f"unknown type {qualified!r}")
                 name = construct_type = qualified
-                if desc.constructors.signatures:
-                    candidates = enumerate(desc.constructors.signatures)
+                if desc.ctors:
+                    candidates = enumerate(desc.ctors)
                 elif args:
                     raise NoMatch(f"{qualified!r} has no constructors taking arguments")
                 else:
@@ -547,7 +547,7 @@ class Bridge:
         self.dispatcher.shutdown()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundBuiltin:
     """Host-provided callable exposed to script (root.loadlibrary and friends)."""
 

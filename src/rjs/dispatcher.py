@@ -52,7 +52,7 @@ def report_fault(diag: TextIO, call_id: int, exc: Exception) -> None:
     diag.write(f"async call #{call_id} failed: {type(exc).__name__}: {exc}\n")
 
 
-@dataclass
+@dataclass(slots=True)
 class CallTask:
     """One unit of asynchronous work.
 
@@ -84,7 +84,7 @@ def run_call(
     return heap.exec_body(target, signature, args)
 
 
-@dataclass
+@dataclass(slots=True)
 class Completion:
     call_id: int
     outcome: HostValue | None

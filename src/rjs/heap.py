@@ -57,6 +57,7 @@ from .model import (
     Param,
     Registry,
     Return,
+    SCALAR_KINDS,
     SelfRef,
     SetField,
     SetGlobal,
@@ -79,7 +80,7 @@ FIRST_ADDRESS = 0x1000
 Step = Callable[["Heap", "int | None", "list[HostValue]"], "HostValue | None"]
 
 
-@dataclass
+@dataclass(slots=True)
 class HostObject:
     address: int  # canonical
     type_name: str
@@ -116,6 +117,12 @@ class Heap:
         with self._lock:
             return self._object(handle).address
 
+    def identify(self, handle: int) -> tuple[int, str]:
+        """The canonical address and type name of the object `handle` names."""
+        with self._lock:
+            obj = self._object(handle)
+            return obj.address, obj.type_name
+
     def make_alias(self, handle: int) -> int:
         """Fresh handle for the object `handle` normalizes to."""
         with self._lock:
@@ -151,8 +158,8 @@ class Heap:
             self.aliases[address] = address
         try:
             if signature is None:
-                if desc.constructors.signatures:
-                    signature = self._match_exact(desc.constructors.signatures, args)
+                if desc.ctors:
+                    signature = self._match_exact(desc.ctors, args)
                     if signature is None:
                         kinds = ", ".join(a.tag for a in args)
                         raise HostExecError(f"no constructor of {type_name!r} matches ({kinds})")
@@ -337,7 +344,7 @@ class Heap:
     def _kind_for_value(self, value: HostValue) -> ValueKind | None:
         match value.tag:
             case "i64" | "f64" | "bool" | "cstr" | "str":
-                return ValueKind(value.tag)
+                return SCALAR_KINDS[value.tag]
             case "enum":
                 return ValueKind(TAG_ENUM, value.enum_name)
             case "obj":
@@ -361,7 +368,7 @@ class Heap:
     # -- host-side exact overload match (for New) -------------------------------------
 
     def _match_exact(
-        self, signatures: list[MethodSignature], args: list[HostValue]
+        self, signatures: tuple[MethodSignature, ...], args: list[HostValue]
     ) -> MethodSignature | None:
         for sig in signatures:
             if len(sig.params) != len(args):

@@ -28,10 +28,8 @@ TAG_ENUM = "enum"
 TAG_OBJ = "obj"
 TAG_VOID = "void"
 
-SCALAR_TAGS = (TAG_I64, TAG_F64, TAG_BOOL, TAG_CSTR, TAG_STR, TAG_VOID)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueKind:
     """Host-side type of a field, parameter, return slot or global.
 
@@ -52,6 +50,9 @@ K_BOOL = ValueKind(TAG_BOOL)
 K_CSTR = ValueKind(TAG_CSTR)
 K_STR = ValueKind(TAG_STR)
 K_VOID = ValueKind(TAG_VOID)
+
+#: scalar tag -> its one shared kind object
+SCALAR_KINDS = {k.tag: k for k in (K_I64, K_F64, K_BOOL, K_CSTR, K_STR, K_VOID)}
 
 
 def enum_kind(name: str) -> ValueKind:
@@ -82,7 +83,7 @@ def wrap_i64(n: int) -> int:
     return (n - I64_MIN) % 2**64 + I64_MIN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HostValue:
     """Tagged host-side value.
 
@@ -167,45 +168,45 @@ def format_host(value: HostValue) -> str:
 # body AST: the observable semantics of host methods, ctors and macros
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: HostValue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Param:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelfRef:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GetField:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GetGlobal:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # one of + - * / %
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Builtin:
     name: str
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class New:
     type_name: str
     args: tuple["Expr", ...]
@@ -214,24 +215,24 @@ class New:
 Expr = Union[Const, Param, SelfRef, GetField, GetGlobal, BinOp, Builtin, New]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetField:
     name: str
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetGlobal:
     name: str  # qualified
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return:
     value: Expr | None  # None returns void
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExprStmt:
     value: Expr
 
@@ -243,7 +244,7 @@ Stmt = Union[SetField, SetGlobal, Return, ExprStmt]
 # signatures and descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not slotted: a weak reference to it needs `weakref_slot` (3.11)
 class MethodSignature:
     """One overload: parameter kinds, return kind and an executable body.
 
@@ -260,7 +261,7 @@ class MethodSignature:
     code: Callable | None = field(default=None, init=False, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class OverloadSet:
     """Ordered signatures sharing one method/function name.
 
@@ -283,25 +284,31 @@ def sig_str(name: str, sig: MethodSignature) -> str:
     return f"{name}({params}) -> {kind_str(sig.returns)}{suffix}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldDecl:
     name: str
     kind: ValueKind
     initial: HostValue
 
 
-@dataclass
+@dataclass(slots=True)
 class HostTypeDescriptor:
-    """Introspection metadata for one host composite type."""
+    """Introspection metadata for one host composite type.
+
+    The descriptor and its `methods` map, which an extension appends to
+    in place, are its registry's own. The name, bases, field declarations
+    and constructors are the plugin's (`registry.TypeSpec`), shared by
+    every registry that loads its memoised text, and never modified.
+    """
 
     qualified_name: str
     bases: tuple[str, ...] = ()
-    fields: list[FieldDecl] = field(default_factory=list)
+    fields: tuple[FieldDecl, ...] = ()
     methods: dict[str, OverloadSet] = field(default_factory=dict)
-    constructors: OverloadSet = field(default_factory=lambda: OverloadSet("(ctor)"))
+    ctors: tuple[MethodSignature, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class GlobalDecl:
     name: str
     qualified: str
@@ -309,7 +316,7 @@ class GlobalDecl:
     initial: HostValue
 
 
-@dataclass
+@dataclass(slots=True)
 class NamespaceNode:
     """One level of the exposed name hierarchy.
 
@@ -339,7 +346,7 @@ def category(entry: object) -> str:
     return "global"
 
 
-@dataclass
+@dataclass(slots=True)
 class Listing:
     """enumerate() result: child names per category, lexicographically sorted."""
 
@@ -357,7 +364,7 @@ def join_path(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeLayout:
     """Result of one walk up a type's inheritance graph.
 
@@ -550,13 +557,14 @@ class Registry:
 
     # -- mutation support (used by registry.merge and the macro executor) -----
 
-    def declare(self, category: str, qualified: str, entry: object) -> None:
+    def declare(self, category: str, qualified: str, name: str, entry: object) -> None:
         """Add a new name: link it into its parent namespace, index it, number it.
 
-        The caller has checked that the name is free and its parent is a
-        namespace.
+        `name` is the last part of `qualified`, the caller's own string (a
+        memoised plugin's, shared). The caller has checked that the name
+        is free and its parent is a namespace.
         """
-        parent, _, name = qualified.rpartition(".")
+        parent = qualified[: -len(name) - 1]  # "" for a top-level name
         getattr(self.entries[parent], CHILD_MAPS[category])[name] = entry
         self.entries[qualified] = entry
         self.order[qualified] = len(self.order)
@@ -592,5 +600,5 @@ class Registry:
         if existing is not None:
             raise ConflictError(f"{qualified!r} already declared as a {category(existing)}")
         decl = GlobalDecl(name, qualified, kind, initial)
-        self.declare("global", qualified, decl)
+        self.declare("global", qualified, name, decl)
         return decl

@@ -22,6 +22,7 @@ import re
 import sys
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -55,7 +56,7 @@ from .model import (
     Param,
     Registry,
     Return,
-    SCALAR_TAGS,
+    SCALAR_KINDS,
     SelfRef,
     SetField,
     SetGlobal,
@@ -85,31 +86,32 @@ _TOP_KEYS = {"namespaces", "enums", "types", "functions", "globals", "statements
 # manifest AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSpec:
     name: str
     kind: ValueKind
     initial_raw: object  # normalized JSON scalar; None means the null reference
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodSpec:
     name: str
     signature: MethodSignature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeSpec:
+    """A type block; `qualified` and `decls` (None if a field is enum-kinded)
+    are derived at parse time and shared by every registry it merges into."""
+
     name: str
     namespace: str
     bases: tuple[str, ...]
     fields: tuple[FieldSpec, ...]
     methods: tuple[MethodSpec, ...]
     ctors: tuple[MethodSignature, ...]
-
-    @property
-    def qualified(self) -> str:
-        return join_path(self.namespace, self.name)
+    qualified: str = field(compare=False)
+    decls: tuple[FieldDecl, ...] | None = field(compare=False, repr=False)
 
     @property
     def is_extension(self) -> bool:
@@ -121,30 +123,24 @@ class TypeSpec:
         return bool(self.methods) and not self.bases and not self.fields and not self.ctors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionSpec:
     name: str
     namespace: str
     signature: MethodSignature
-
-    @property
-    def qualified(self) -> str:
-        return join_path(self.namespace, self.name)
+    qualified: str = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalSpec:
     name: str
     namespace: str
     kind: ValueKind
     initial_raw: object
-
-    @property
-    def qualified(self) -> str:
-        return join_path(self.namespace, self.name)
+    qualified: str = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestAST:
     """A validated manifest.
 
@@ -167,7 +163,7 @@ class ManifestAST:
         return tuple(dict.fromkeys((*self.namespaces, *filter(None, homes))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacroResult:
     version: int
     value: HostValue
@@ -198,10 +194,10 @@ def _qname(raw: object, what: str, allow_empty: bool = False) -> str:
 
 def parse_kind(raw: object, what: str, allow_void: bool = False) -> ValueKind:
     if isinstance(raw, str):
-        if raw in SCALAR_TAGS:
+        if raw in SCALAR_KINDS:
             if raw == TAG_VOID and not allow_void:
                 raise ValidationError(f"{what}: void is only valid as a return kind")
-            return ValueKind(raw)
+            return SCALAR_KINDS[raw]
         raise ValidationError(f"{what}: unknown kind tag {raw!r}")
     if isinstance(raw, dict) and len(raw) == 1:
         if "enum" in raw:
@@ -245,7 +241,7 @@ def _const_to_json(value: HostValue) -> object:
 # body statements and expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _BodyCtx:
     arity: int
     allow_self: bool
@@ -471,7 +467,7 @@ def _normalize_initial(kind: ValueKind, raw: object, present: bool, what: str) -
 def _resolve_initial(
     kind: ValueKind, raw: object, enums: dict[str, dict[str, int]], what: str
 ) -> HostValue:
-    """Raw normalized initial -> HostValue, with enum names resolved."""
+    """Raw normalized initial -> HostValue; only an enum kind reads `enums`."""
     if kind.tag == TAG_OBJ:
         return ref(0)
     if kind.tag != TAG_ENUM:
@@ -485,6 +481,16 @@ def _resolve_initial(
     if raw in table.values():
         return enumval(kind.name or "", raw)  # type: ignore[arg-type]
     raise ValidationError(f"{what}: {raw} is not an enumerator value of {kind.name}")
+
+
+def _field_decls(
+    fields: Sequence[FieldSpec], enums: dict[str, dict[str, int]], what: str
+) -> tuple[FieldDecl, ...]:
+    """A type's field declarations with their initials resolved, in order."""
+    return tuple(
+        FieldDecl(f.name, f.kind, _resolve_initial(f.kind, f.initial_raw, enums, f"{what} field {f.name}"))
+        for f in fields
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +678,9 @@ def _parse_type(raw: object, index: int) -> TypeSpec:
         ctors.append(_parse_ctor(craw, f"{what} constructor"))
     _check_distinguishable([("(ctor)", c) for c in ctors], f"{what} constructors")
 
-    return TypeSpec(name, namespace, bases, tuple(fields), tuple(methods), tuple(ctors))
+    shared = None if any(f.kind.tag == TAG_ENUM for f in fields) else _field_decls(fields, {}, what)
+    return TypeSpec(name, namespace, bases, tuple(fields), tuple(methods), tuple(ctors),
+                    join_path(namespace, name), shared)
 
 
 def _parse_function(raw: object, index: int) -> FunctionSpec:
@@ -682,7 +690,7 @@ def _parse_function(raw: object, index: int) -> FunctionSpec:
     namespace = _qname(raw.get("namespace", ""), what, allow_empty=True)
     body = {k: v for k, v in raw.items() if k != "namespace"}
     name, sig = _parse_signature(body, what, instance_ok=False)
-    return FunctionSpec(name, namespace, sig)
+    return FunctionSpec(name, namespace, sig, join_path(namespace, name))
 
 
 def _parse_global(raw: object, index: int) -> GlobalSpec:
@@ -694,7 +702,7 @@ def _parse_global(raw: object, index: int) -> GlobalSpec:
     namespace = _qname(raw.get("namespace", ""), what, allow_empty=True)
     kind = parse_kind(raw["kind"], f"global {name}")
     initial = _normalize_initial(kind, raw.get("initial"), "initial" in raw, f"global {name}")
-    return GlobalSpec(name, namespace, kind, initial)
+    return GlobalSpec(name, namespace, kind, initial, join_path(namespace, name))
 
 
 def _sig_key(sig: MethodSignature) -> tuple:
@@ -819,11 +827,11 @@ def _global_to_json(g: GlobalSpec) -> dict:
 # merge
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _MergePlan:
     namespaces: tuple[str, ...]
     enums: dict[str, dict[str, int]]
-    new_types: list[HostTypeDescriptor]
+    new_types: list[tuple[str, HostTypeDescriptor]]  # (short name, descriptor)
     extensions: list[tuple[HostTypeDescriptor, tuple[MethodSpec, ...]]]  # existing type, new methods
     functions: tuple[FunctionSpec, ...]
     globals: list[GlobalDecl]
@@ -885,7 +893,7 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
         registry.check_namespace_path(path)
 
     # types: split into fresh declarations and method-only extensions
-    new_types: list[HostTypeDescriptor] = []
+    new_types: list[tuple[str, HostTypeDescriptor]] = []
     extensions: list[tuple[HostTypeDescriptor, tuple[MethodSpec, ...]]] = []
     for t in ast.types:
         what = f"type {t.qualified}"
@@ -910,25 +918,17 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
         desc = HostTypeDescriptor(
             qualified_name=t.qualified,
             bases=t.bases,
-            fields=[
-                FieldDecl(
-                    f.name,
-                    f.kind,
-                    _resolve_initial(f.kind, f.initial_raw, enums_overlay, f"{what} field {f.name}"),
-                )
-                for f in t.fields
-            ],
+            fields=t.decls if t.decls is not None else _field_decls(t.fields, enums_overlay, what),
             methods=_add_methods({}, t.methods),
-            constructors=OverloadSet("(ctor)", list(t.ctors)),
+            ctors=t.ctors,
         )
-        new_types.append(desc)
+        new_types.append((t.name, desc))
 
     # the walk checks bases and field shadowing; its layouts wait for first use
-    new_by_name = {d.qualified_name: d for d in new_types}
+    new_by_name = {desc.qualified_name: desc for _, desc in new_types}
     layouts = {
-        desc.qualified_name:
-            walk_layout(desc, lambda name: new_by_name.get(name) or registry.find_type(name))
-        for desc in new_types
+        qualified: walk_layout(desc, lambda name: new_by_name.get(name) or registry.find_type(name))
+        for qualified, desc in new_by_name.items()
     }
 
     # `parse_manifest` has rejected overloads that collide within the manifest
@@ -995,9 +995,9 @@ def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> Non
         for part in split_path(path):
             walked = join_path(walked, part)
             if walked not in registry.entries:
-                registry.declare("namespace", walked, NamespaceNode(part))
-    for desc in plan.new_types:
-        registry.declare("type", desc.qualified_name, desc)
+                registry.declare("namespace", walked, part, NamespaceNode(part))
+    for name, desc in plan.new_types:
+        registry.declare("type", desc.qualified_name, name, desc)
     registry.hand_over_layouts(plan.layouts)
     for desc, methods in plan.extensions:
         _add_methods(desc.methods, methods)
@@ -1005,9 +1005,9 @@ def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> Non
         overloads = registry.entries.get(fn.qualified)
         if overloads is None:  # only the first overload adds a name
             overloads = OverloadSet(fn.name)
-            registry.declare("function", fn.qualified, overloads)
+            registry.declare("function", fn.qualified, fn.name, overloads)
         overloads.signatures.append(fn.signature)  # type: ignore[union-attr]
     for decl in plan.globals:
-        registry.declare("global", decl.qualified, decl)
+        registry.declare("global", decl.qualified, decl.name, decl)
         if heap is not None:
             heap.write_global(decl.qualified, decl.initial)

@@ -34,7 +34,7 @@ def render_tree(registry: Registry) -> str:
             lines.append(f"{pad}{name}{suffix}")
             for decl in desc.fields:
                 lines.append(f"{pad}  .{decl.name}: {kind_str(decl.kind)}")
-            for ctor in desc.constructors.signatures:
+            for ctor in desc.ctors:
                 params = ", ".join(kind_str(k) for k in ctor.params)
                 lines.append(f"{pad}  {name}({params})")
             for method_name in sorted(desc.methods):

@@ -89,57 +89,57 @@ def tokenize(src: str) -> list[Token]:
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SNum:
     value: float
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SStr:
     value: str
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SBool:
     value: bool
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SNull:
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SIdent:
     name: str
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SMember:
     obj: "SExpr"
     name: str
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SCall:
     fn: "SExpr"
     args: tuple["SExpr", ...]
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SFn:
     params: tuple[str, ...]
     body: tuple["SStmt", ...]
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SBin:
     op: str
     left: "SExpr"
@@ -150,21 +150,21 @@ class SBin:
 SExpr = Any  # union of the S* expression nodes above
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SLet:
     name: str
     value: SExpr
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SAssign:
     target: SExpr  # SIdent or SMember
     value: SExpr
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SExprStmt:
     value: SExpr
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
@@ -411,7 +411,7 @@ class Environment:
         raise ScriptNameError(f"assignment to undeclared name {name!r}")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Closure:
     """First-class function value; callable so it can serve as a completion
     callback delivered by the pump."""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import rjs.registry
 from rjs import Bridge
 from rjs.errors import ParseError, ValidationError
-from rjs.model import Const, Return, SetGlobal, i64
+from rjs.model import K_BOOL, K_CSTR, K_F64, K_I64, K_STR, K_VOID, Const, Return, SetGlobal, enumval, i64
 from rjs.registry import ManifestAST, parse_manifest, serialize_manifest
 
 VEC2 = {
@@ -495,3 +495,86 @@ def test_memo_holds_no_more_than_its_bound_and_drops_the_least_recent(parses):
     parse_manifest(texts[0])  # still held
     parse_manifest(texts[1])  # dropped first
     assert parses == [*texts, texts[1]]
+
+
+# -- what bridges loading one memoised plugin share -------------------------------------
+
+SHARED_PLUGIN = {
+    "namespaces": ["N"],
+    "types": [
+        {"name": "Base", "namespace": "N",
+         "fields": [{"name": "n", "kind": "i64", "initial": 3}, {"name": "x", "kind": "f64"},
+                    {"name": "ok", "kind": "bool"}, {"name": "s", "kind": "cstr"},
+                    {"name": "t", "kind": "str"}, {"name": "next", "kind": {"obj": "N.Base"}}],
+         "ctors": [{"params": []}, {"params": ["i64"], "body": [
+             {"op": "set", "field": "n", "value": {"op": "param", "index": 0}}]}],
+         "methods": [{"name": "Get", "params": ["f64", "cstr"], "returns": "i64",
+                      "body": [{"op": "ret", "value": {"op": "get", "field": "n"}}]}]},
+        {"name": "Plain", "bases": ["N.Base"], "fields": [{"name": "y", "kind": "f64"}]},
+    ],
+    "functions": [{"name": "F", "namespace": "N", "params": ["bool", "str"], "returns": "void"}],
+    "globals": [{"name": "g", "namespace": "N", "kind": "i64"}],
+}
+SCALAR_KINDS = (K_I64, K_F64, K_BOOL, K_CSTR, K_STR, K_VOID)
+
+
+def test_a_plugin_is_declared_once_per_process(tmp_path, parses):
+    path = tmp_path / "shared.plugin"
+    path.write_text(json.dumps(SHARED_PLUGIN))
+    first, second = load_in_new_bridge(path), load_in_new_bridge(path)
+    try:
+        assert len(parses) == 1
+        kinds = []
+        index = {name: name for name in first.registry.order}  # each key as the registry holds it
+        for name in ("N.Base", "Plain"):
+            ours, theirs = first.registry.find_type(name), second.registry.find_type(name)
+            assert ours is not theirs and ours.methods is not theirs.methods
+            assert ours.fields is theirs.fields and ours.ctors is theirs.ctors
+            assert ours.qualified_name is theirs.qualified_name is index[name]
+            kinds += [decl.kind for decl in ours.fields]
+            signatures = [*ours.ctors, *(s for m in ours.methods.values() for s in m.signatures)]
+            kinds += [k for sig in signatures for k in (*sig.params, sig.returns)]
+        kinds += [k for s in first.registry.lookup("N.F").signatures for k in (*s.params, s.returns)]
+        kinds.append(first.registry.lookup("N.g").kind)
+        scalar = [k for k in kinds if k.tag != "obj"]
+        assert len(scalar) == 16 and all(any(k is c for c in SCALAR_KINDS) for k in scalar)
+        assert {k.tag for k in scalar} == {c.tag for c in SCALAR_KINDS}
+    finally:
+        first.shutdown()
+        second.shutdown()
+
+
+def test_enum_fields_resolve_in_each_registry(tmp_path, parses):
+    paint = tmp_path / "paint.plugin"
+    paint.write_text(json.dumps({"types": [{"name": "Paint", "fields": [
+        {"name": "c", "kind": {"enum": "EColor"}, "initial": "kRed"}]}]}))
+    bridges = []
+    try:
+        for value in (1, 2):
+            enums = tmp_path / f"enums{value}.plugin"
+            enums.write_text(json.dumps({"enums": {"EColor": {"kRed": value}}}))
+            bridges.append(load_in_new_bridge(enums))
+            bridges[-1].loadlibrary(str(paint))
+        assert [b.heap.read_field(b.heap.construct("Paint"), "c") for b in bridges] == [
+            enumval("EColor", 1), enumval("EColor", 2)]
+        assert parses.count(paint.read_text()) == 1
+    finally:
+        for b in bridges:
+            b.shutdown()
+
+
+def test_an_extension_stays_in_its_registry(tmp_path, parses):
+    path = tmp_path / "shared.plugin"
+    path.write_text(json.dumps(SHARED_PLUGIN))
+    first, second = load_in_new_bridge(path), load_in_new_bridge(path)
+    try:
+        first.evalmacro(json.dumps({"types": [{"name": "Plain", "methods": [
+            {"name": "Extra", "params": [], "returns": "i64", "static": True,
+             "body": [{"op": "ret", "value": {"op": "const", "value": 1}}]}]}]}))
+        assert first.registry.method_set("Plain", "Extra") is not None
+        assert second.registry.method_set("Plain", "Extra") is None
+        assert second.registry.find_type("Plain").methods == {}
+        assert first.registry.method_set("N.Base", "Extra") is None
+    finally:
+        first.shutdown()
+        second.shutdown()

@@ -6,7 +6,8 @@ fails on any store into, or `del` of, an item of an attribute with one
 of those table names outside `heap.py`, and on a store of a global's
 value anywhere in `heap.py` but `Heap.write_global`. Reading is allowed
 anywhere. Likewise only an engine's lifecycle changes `Registry.engines`:
-`Dispatcher.submit` adds, `Dispatcher.shutdown` discards.
+`Dispatcher.submit` adds, `Dispatcher.shutdown` discards. And every rjs
+dataclass passes `slots=True`, so its instances carry no `__dict__`.
 """
 
 from __future__ import annotations
@@ -181,3 +182,65 @@ def test_each_lifecycle_change_of_registry_engines_is_in_place():
         for scope, change, _ in engines_changes(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found == ENGINES_ALLOWED
+
+
+# -- every rjs dataclass is slotted -----------------------------------------------------
+
+#: `MethodSignature` keeps its `__dict__`: a test takes a weak reference to one,
+#: and a slotted dataclass is weakly referenceable only with `weakref_slot=True`,
+#: which needs Python 3.11, above the 3.10 floor in pyproject.toml.
+UNSLOTTED = {"MethodSignature"}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def _slotted(decorator: ast.expr) -> bool:
+    return isinstance(decorator, ast.Call) and any(
+        keyword.arg == "slots" and isinstance(keyword.value, ast.Constant) and keyword.value.value is True
+        for keyword in decorator.keywords
+    )
+
+
+def unslotted_dataclasses(source: str, filename: str = "<source>") -> list[str]:
+    """`file:line Class` of each dataclass that does not pass `slots=True`."""
+    return [
+        f"{filename}:{node.lineno} {node.name}"
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.ClassDef) and node.name not in UNSLOTTED
+        for decorator in node.decorator_list
+        if _is_dataclass(decorator) and not _slotted(decorator)
+    ]
+
+
+@pytest.mark.parametrize("source", [
+    "@dataclass\nclass A:\n    x: int",
+    "@dataclass(frozen=True)\nclass A:\n    x: int",
+    "@dataclass(slots=False)\nclass A:\n    x: int",
+    "@dataclass(slots=SLOTS)\nclass A:\n    x: int",
+    "@dataclasses.dataclass(eq=False)\nclass A:\n    x: int",
+    "@functools.total_ordering\n@dataclass(order=True)\nclass A:\n    x: int",
+    "def f():\n    @dataclass\n    class A:\n        x: int",
+])
+def test_the_slots_lint_sees_each_unslotted_dataclass(source):
+    assert [entry.rsplit(" ", 1)[1] for entry in unslotted_dataclasses(source)] == ["A"]
+
+
+@pytest.mark.parametrize("source", [
+    "@dataclass(slots=True)\nclass A:\n    x: int",
+    "@dataclasses.dataclass(frozen=True, slots=True)\nclass A:\n    x: int",
+    "@functools.total_ordering\n@dataclass(order=True, slots=True)\nclass A:\n    x: int",
+    "@dataclass(frozen=True)\nclass MethodSignature:\n    params: tuple",
+    "class A:\n    __slots__ = ('x',)",
+    "@other(slots=False)\nclass A:\n    x: int",
+])
+def test_the_slots_lint_passes_slotted_and_exempt_classes(source):
+    assert unslotted_dataclasses(source) == []
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_every_rjs_dataclass_is_slotted(path):
+    assert unslotted_dataclasses(path.read_text(encoding="utf-8"), path.name) == []

@@ -3,15 +3,21 @@
 `ast.parse(feature_version=...)` rejects grammar newer than that version
 (`except*`, for one). It checks syntax only, so the module-level regular
 expressions are checked apart: atomic groups and possessive quantifiers
-compile only from Python 3.11. Any other newer library feature still
-needs a run on the oldest Python.
+compile only from Python 3.11. Any other newer library feature (a
+dataclass option, say) shows only in a run, so when an interpreter of the
+oldest version is on PATH, the demo script runs under it and must print
+what it prints under the current one.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +71,27 @@ def test_module_patterns_compile_under_the_oldest_python(path):
         if isinstance(value, re.Pattern):
             used = regex_ops(parser.parse(value.pattern, value.flags)) & NEWER_REGEX_OPS
             assert not used, f"{path.name}: {name} uses {sorted(used)}"
+
+
+DEMO_RUN = ["-m", "rjs.cli", "run", "scripts/demo.rjs", "--plugin", "plugins/sample.plugin"]
+
+
+def run_under(python: str, *args: str) -> subprocess.CompletedProcess:
+    major, minor = oldest_python()
+    # a pyenv shim picks its interpreter by PYENV_VERSION; any other ignores it
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYENV_VERSION": f"{major}.{minor}"}
+    return subprocess.run([python, *args], cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_the_demo_runs_the_same_under_the_oldest_python():
+    major, minor = oldest_python()
+    python = shutil.which(f"python{major}.{minor}")
+    if python is None:
+        pytest.skip(f"no python{major}.{minor} on PATH")
+    probe = run_under(python, "-c", "import sys; print(*sys.version_info[:2])")
+    if probe.returncode != 0 or probe.stdout.split() != [str(major), str(minor)]:
+        pytest.skip(f"python{major}.{minor} on PATH does not start: {probe.stderr.strip()[:200]}")
+    oldest, current = run_under(python, *DEMO_RUN), run_under(sys.executable, *DEMO_RUN)
+    assert current.returncode == 0 and current.stdout, current.stderr
+    assert (oldest.stdout, oldest.returncode) == (current.stdout, current.returncode), oldest.stderr
