@@ -436,3 +436,262 @@ def random_param_lists(rng: random.Random) -> list[tuple[ValueKind, ...]]:
                 lists.append(params)
                 break
     return lists
+
+
+# ---------------------------------------------------------------------------
+# manifest front-end pin: deterministic texts, valid and faulty
+# ---------------------------------------------------------------------------
+#
+# `tests/golden/manifest_outcomes.json` records what parsing (and, for a
+# valid text, serializing) each of these texts gives. The texts are built
+# from plain JSON with `random.Random(seed)` only, so they are the same on
+# every run and every Python version.
+
+#: one manifest that holds every entry kind and every body op
+PIN_BASE = {
+    "namespaces": ["N"],
+    "enums": {"E": {"a": 1, "b": 2}},
+    "types": [
+        {"name": "B", "namespace": "N", "fields": [{"name": "e", "kind": {"enum": "E"}, "initial": "a"}]},
+        {"name": "T", "namespace": "N", "bases": ["N.B"],
+         "fields": [{"name": "x", "kind": "f64", "initial": 1.5}, {"name": "p", "kind": {"obj": "N.T"}}],
+         "methods": [{"name": "M", "static": False, "params": ["f64", "cstr"], "returns": "f64", "body": [
+             {"op": "set", "field": "x", "value": {"op": "param", "index": 0}},
+             {"op": "self"},
+             {"op": "ret", "value": {"op": "bin", "o": "+", "l": {"op": "get", "field": "x"},
+                                     "r": {"op": "const", "value": 2}}}]}],
+         "ctors": [{"params": ["f64"], "body": [
+             {"op": "set", "field": "x", "value": {"op": "param", "index": 0}}]}]},
+    ],
+    "functions": [{"name": "F", "namespace": "N", "static": True, "params": ["i64"], "returns": {"obj": "N.T"},
+                   "body": [{"op": "builtin", "name": "sqrt", "args": [{"op": "param", "index": 0}]},
+                            {"op": "ret", "value": {"op": "new", "type": "N.T",
+                                                    "args": [{"op": "const", "value": 1.0}]}}]}],
+    "globals": [{"name": "g", "namespace": "N", "kind": "i64", "initial": 3}],
+    "statements": [{"op": "gset", "name": "N.g", "value": {"op": "gget", "name": "N.g"}}, {"op": "ret"}],
+}
+
+_MISSING = object()
+#: the invalid values a fault puts in a key; `_MISSING` deletes the key
+PIN_FAULTS = (_MISSING, -1, "!", [{}, {}])
+PIN_UNKNOWN_KEY = "zz"
+
+
+def _fault_name(value: object) -> str:
+    return "missing" if value is _MISSING else json.dumps(value)
+
+
+def _object_slots(container, key, path: str):
+    """(path, container, key) of every JSON object under container[key], outermost first."""
+    node = container[key]
+    if isinstance(node, dict):
+        yield path, container, key
+        for k in node:
+            yield from _object_slots(node, k, f"{path}.{k}" if path else k)
+    elif isinstance(node, list):
+        for i in range(len(node)):
+            yield from _object_slots(node, i, f"{path}[{i}]")
+
+
+def _faulted(node: dict, faults: dict) -> dict:
+    """`node` with `faults` applied; the faulted keys come first, in order."""
+    out = {k: v for k, v in faults.items() if v is not _MISSING}
+    out.update((k, v) for k, v in node.items() if k not in faults)
+    return out
+
+
+def pair_fault_texts(base: dict = PIN_BASE) -> list[tuple[str, str, str]]:
+    """(object path, label, text): two faults put into one object of `base`.
+
+    For every object, every ordered pair of its keys plus one unknown key
+    gets every pair of `PIN_FAULTS`, so each pair of faults appears in
+    both key orders. Texts that come out the same are kept once.
+    """
+    box = [base]
+    seen: set[str] = set()
+    out = []
+    for path, container, key in list(_object_slots(box, 0, "")):
+        node = container[key]
+        keys = [*node, PIN_UNKNOWN_KEY]
+        for first in keys:
+            for second in keys:
+                if first == second:
+                    continue
+                for a in PIN_FAULTS:
+                    for b in PIN_FAULTS:
+                        container[key] = _faulted(node, {first: a, second: b})
+                        text = json.dumps(box[0])
+                        container[key] = node
+                        if text not in seen:
+                            seen.add(text)
+                            label = f"{path or 'manifest'}: {first}={_fault_name(a)} {second}={_fault_name(b)}"
+                            out.append((path or "manifest", label, text))
+    return out
+
+
+def _random_kind(rng: random.Random, enums: list[str], types: list[str]) -> object:
+    choice = rng.randrange(7)
+    if choice < 5:
+        return ("i64", "f64", "bool", "cstr", "str")[choice]
+    if choice == 5:
+        return {"enum": rng.choice(enums or ["Elsewhere"])}
+    return {"obj": rng.choice(types or ["Elsewhere"])}
+
+
+def _random_initial(rng: random.Random, kind: object, enums: dict) -> object:
+    if isinstance(kind, dict):
+        if "obj" in kind:
+            return None
+        table = enums.get(kind["enum"], {"x": 0})
+        return rng.choice([*table, *table.values()])
+    return {"i64": rng.randint(-9, 9), "f64": rng.choice([0.5, -2.25, 3]), "bool": rng.random() < 0.5,
+            "cstr": "c", "str": "s"}[kind]
+
+
+def _random_expr(rng: random.Random, arity: int, instance: bool, depth: int) -> dict:
+    ops = ["const", "gget"] + ["param"] * (arity > 0) + ["self", "get"] * instance
+    if depth < 3:
+        ops += ["bin", "builtin", "new"]
+    op = rng.choice(ops)
+    if op == "const":
+        return {"op": op, "value": rng.choice([rng.randint(-9, 9), 1.5, "s", True, None])}
+    if op == "gget":
+        return {"op": op, "name": rng.choice(["g", "NS0.g"])}
+    if op == "param":
+        return {"op": op, "index": rng.randrange(arity)}
+    if op == "self":
+        return {"op": op}
+    if op == "get":
+        return {"op": op, "field": "f0"}
+    if op == "bin":
+        return {"op": op, "o": rng.choice("+-*/%"), "l": _random_expr(rng, arity, instance, depth + 1),
+                "r": _random_expr(rng, arity, instance, depth + 1)}
+    if op == "builtin":
+        name = rng.choice(["sqrt", "floor", "strlen", "to_str", "alias", "concat"])
+        count = rng.randint(1, 3) if name == "concat" else 1
+        return {"op": op, "name": name,
+                "args": [_random_expr(rng, arity, instance, depth + 1) for _ in range(count)]}
+    return {"op": "new", "type": "T0", "args": [_random_expr(rng, arity, instance, depth + 1)
+                                               for _ in range(rng.randint(0, 2))]}
+
+
+def _random_body(rng: random.Random, arity: int, instance: bool) -> list:
+    body = []
+    for _ in range(rng.randint(0, 3)):
+        op = rng.choice(["set", "gset", "ret", "expr"] if instance else ["gset", "ret", "expr"])
+        value = _random_expr(rng, arity, instance, 0)
+        if op == "set":
+            body.append({"op": op, "field": "f0", "value": value})
+        elif op == "gset":
+            body.append({"op": op, "name": "g", "value": value})
+        elif op == "ret":
+            body.append({"op": op, "value": value} if rng.random() < 0.7 else {"op": op})
+        else:
+            body.append(value)
+    return body
+
+
+def _random_callable(rng: random.Random, params: list, instance: bool, returns: object) -> dict:
+    entry: dict = {"params": params}
+    if returns is not None:
+        entry["returns"] = returns
+    entry["body"] = _random_body(rng, len(params), instance)
+    return entry
+
+
+def _random_returns(rng: random.Random, enums: list[str]) -> object:
+    """A return kind, or None to leave the key out."""
+    return rng.choice([None, "void", _random_kind(rng, enums, ["T0"])])
+
+
+def random_manifest(rng: random.Random) -> dict:
+    """A manifest in the documented format, valid as far as the draws allow."""
+    out: dict = {}
+    namespaces = [f"NS{i}" for i in range(rng.randint(0, 2))]
+    if namespaces:
+        out["namespaces"] = namespaces
+    enums = {f"E{i}": {f"e{j}": rng.randint(-3, 3) for j in range(rng.randint(1, 3))}
+             for i in range(rng.randint(0, 2))}
+    if enums:
+        out["enums"] = enums
+    homes = ["", *namespaces]
+    types: list[dict] = []
+    for i in range(rng.randint(0, 3)):
+        home = rng.choice(homes)
+        entry: dict = {"name": f"T{i}"}
+        if home:
+            entry["namespace"] = home
+        bases = [t["namespace"] + "." + t["name"] if t.get("namespace") else t["name"]
+                 for t in types if rng.random() < 0.4]
+        if bases:
+            entry["bases"] = bases
+        fields = []
+        for j in range(rng.randint(0, 2)):
+            kind = _random_kind(rng, [*enums], ["T0"])
+            field_entry = {"name": f"f{j}", "kind": kind}
+            if (isinstance(kind, dict) and "enum" in kind) or rng.random() < 0.5:
+                field_entry["initial"] = _random_initial(rng, kind, enums)
+            fields.append(field_entry)
+        if fields:
+            entry["fields"] = fields
+        methods = []
+        for j in range(rng.randint(0, 2)):
+            static = rng.random() < 0.3
+            params = [_random_kind(rng, [*enums], ["T0"])] + ["i64"] * j  # overloads differ in arity
+            method = {"name": rng.choice(["Get", "Set"]),
+                      **_random_callable(rng, params, not static, _random_returns(rng, [*enums]))}
+            if static or rng.random() < 0.2:
+                method["static"] = static
+            methods.append(method)
+        if methods:
+            entry["methods"] = methods
+        ctors = []
+        for j in range(rng.randint(0, 2)):
+            ctors.append(_random_callable(rng, ["f64"] * j, True, None))
+        if ctors:
+            entry["ctors"] = ctors
+        types.append(entry)
+    if types:
+        out["types"] = types
+    functions = []
+    for i in range(rng.randint(0, 2)):
+        params = [_random_kind(rng, [*enums], ["T0"]) for _ in range(rng.randint(0, 2))]
+        fn = {"name": f"fn{i}", **_random_callable(rng, params, False, _random_returns(rng, [*enums]))}
+        home = rng.choice(homes)
+        if home:
+            fn["namespace"] = home
+        functions.append(fn)
+    if functions:
+        out["functions"] = functions
+    globals_ = []
+    for i in range(rng.randint(0, 2)):
+        kind = _random_kind(rng, [*enums], ["T0"])
+        entry = {"name": f"g{i}", "kind": kind}
+        if (isinstance(kind, dict) and "enum" in kind) or rng.random() < 0.5:
+            entry["initial"] = _random_initial(rng, kind, enums)
+        home = rng.choice(homes)
+        if home:
+            entry["namespace"] = home
+        globals_.append(entry)
+    if globals_:
+        out["globals"] = globals_
+    if rng.random() < 0.3:
+        out["statements"] = _random_body(rng, 0, False)
+    return out
+
+
+def random_manifest_texts(seed: int, count: int) -> list[str]:
+    """Seeded random manifests; about half carry one or two faults in one object."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        manifest = random_manifest(rng)
+        box = [manifest]
+        faults = rng.choice((0, 0, 1, 2))
+        if faults:
+            _, container, key = rng.choice(list(_object_slots(box, 0, "")))
+            node = container[key]
+            keys = rng.sample([*node, PIN_UNKNOWN_KEY], min(faults, len(node) + 1))
+            container[key] = _faulted(node, {k: rng.choice(PIN_FAULTS) for k in keys})
+        texts.append(json.dumps(box[0]))
+    return texts
