@@ -10,7 +10,8 @@ semantics, type descriptors, the namespace tree and the Registry itself
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Union
 
 from .errors import ConflictError, NotANamespace, NotFound, UnknownType, ValidationError
 
@@ -295,8 +296,9 @@ class FieldDecl:
 class HostTypeDescriptor:
     """Introspection metadata for one host composite type.
 
-    The descriptor and its `methods` map, which an extension appends to
-    in place, are its registry's own. The name, bases, field declarations
+    The descriptor and its `methods` map are its registry's own (a type
+    without methods holds the read-only `Registry.no_methods` until an
+    extension gives it a dict). The name, bases, field declarations
     and constructors are the plugin's (`registry.TypeSpec`), shared by
     every registry that loads its memoised text, and never modified.
     """
@@ -304,7 +306,7 @@ class HostTypeDescriptor:
     qualified_name: str
     bases: tuple[str, ...] = ()
     fields: tuple[FieldDecl, ...] = ()
-    methods: dict[str, OverloadSet] = field(default_factory=dict)
+    methods: Mapping[str, OverloadSet] = field(default_factory=dict)
     ctors: tuple[MethodSignature, ...] = ()
 
 
@@ -444,6 +446,7 @@ class Registry:
         self._layouts: dict[str, TypeLayout] = {}
         self._walked: dict[str, TypeLayout] = {}  # see `hand_over_layouts`
         self.engines: set = set()  # dispatchers; see `Dispatcher.submit`
+        self.no_methods: Mapping[str, OverloadSet] = MappingProxyType({})
 
     # -- lookup / enumeration ------------------------------------------------
 
@@ -505,8 +508,8 @@ class Registry:
         registry. That is exact, not merely per version: a merged
         type's bases and fields never change, every base exists when its
         type is merged, types are never removed or redeclared, and an
-        extension only appends to `desc.methods` in place, which the
-        descriptors in `chain` show. A name that is not found is never
+        extension only changes `desc.methods`, which the descriptors in
+        `chain` show. A name that is not found is never
         memoised. Worker threads reach this through `Heap.exec_body`; two
         threads may both build a layout, but the values are equal and a
         dict store is atomic under the GIL, so no lock is needed. The

@@ -12,6 +12,11 @@ A plugin text is parsed once per process (`parse_manifest` memoises
 statement-free results by text), so a long-lived host that opens
 session after session on the same libraries skips the parse; macros are
 parsed on every call.
+
+The host-body language is one table, `_OPS`, read by its parser and its
+writer. Methods, functions and constructors share one reader, and every
+entry's writer one omission rule (`_written`); each entry kind keeps its
+own reader, since their labels and the order of their checks differ.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import re
 import sys
 import threading
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence, Set
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     ConflictError,
@@ -208,11 +214,8 @@ def parse_kind(raw: object, what: str, allow_void: bool = False) -> ValueKind:
 
 
 def kind_to_json(kind: ValueKind) -> object:
-    if kind.tag == TAG_ENUM:
-        return {"enum": kind.name}
-    if kind.tag == TAG_OBJ:
-        return {"obj": kind.name}
-    return kind.tag
+    """A kind as `parse_kind` reads it: a named kind is {tag: name}."""
+    return {kind.tag: kind.name} if kind.tag in (TAG_ENUM, TAG_OBJ) else kind.tag
 
 
 def _const_value(raw: object, what: str) -> HostValue:
@@ -231,14 +234,8 @@ def _const_value(raw: object, what: str) -> HostValue:
     raise ValidationError(f"{what}: unsupported constant {raw!r}")
 
 
-def _const_to_json(value: HostValue) -> object:
-    if value.tag == TAG_VOID:
-        return None
-    return value.value
-
-
 # ---------------------------------------------------------------------------
-# body statements and expressions
+# body statements and expressions: one op table, read by the parser and the writer
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -248,7 +245,7 @@ class _BodyCtx:
     what: str
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
+def _require_keys(obj: dict, allowed: Set[str], required: Set[str], what: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ValidationError(f"{what}: unknown key(s) {sorted(unknown)}")
@@ -257,16 +254,54 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -
         raise ValidationError(f"{what}: missing key(s) {sorted(missing)}")
 
 
-def parse_expr(raw: object, ctx: _BodyCtx) -> Expr:
+# how the writer renders a node field's value under its JSON key
+_PLAIN, _CONST, _EXPR, _EXPRS, _OPTIONAL_EXPR = range(5)
+
+
+class _Op(NamedTuple):
+    node: type
+    keys: dict[str, int]  # each node field's JSON key and rendering, in field order
+    statement: bool = False  # only a statement position takes it
+    instance: str = ""  # what it does to `self`, if only an instance body may use it
+
+
+#: the host-body language: every op a statement or expression object may name
+_OPS: dict[str, _Op] = {
+    "const": _Op(Const, {"value": _CONST}),
+    "param": _Op(Param, {"index": _PLAIN}),
+    "self": _Op(SelfRef, {}, instance="self reference"),
+    "get": _Op(GetField, {"field": _PLAIN}, instance="field read"),
+    "gget": _Op(GetGlobal, {"name": _PLAIN}),
+    "bin": _Op(BinOp, {"o": _PLAIN, "l": _EXPR, "r": _EXPR}),
+    "builtin": _Op(Builtin, {"name": _PLAIN, "args": _EXPRS}),
+    "new": _Op(New, {"type": _PLAIN, "args": _EXPRS}),
+    "set": _Op(SetField, {"field": _PLAIN, "value": _EXPR}, True, "field write"),
+    "gset": _Op(SetGlobal, {"name": _PLAIN, "value": _EXPR}, True),
+    "ret": _Op(Return, {"value": _OPTIONAL_EXPR}, True),
+}
+#: op -> (the keys it allows, the keys it requires), built once
+_OP_KEYS = {op: (frozenset({"op", *keys}), frozenset(k for k in keys if keys[k] != _OPTIONAL_EXPR))
+            for op, (_, keys, _, _) in _OPS.items()}
+_OP_OF_NODE = {spec.node: op for op, spec in _OPS.items()}
+
+
+def parse_body(raw: object, ctx: _BodyCtx, statement: bool) -> Stmt | Expr:
+    """One statement (`statement`) or expression of a host body or macro;
+    an expression object where a statement goes is an expression statement."""
     if not isinstance(raw, dict) or "op" not in raw:
-        raise ValidationError(f"{ctx.what}: expression must be an object with an 'op' key")
+        position = "statement" if statement else "expression"
+        raise ValidationError(f"{ctx.what}: {position} must be an object with an 'op' key")
     op = raw["op"]
+    spec = _OPS.get(op) if isinstance(op, str) else None
+    if spec is None or (spec.statement and not statement):
+        raise ValidationError(f"{ctx.what}: unknown expression op {op!r}")
+    _require_keys(raw, *_OP_KEYS[op], ctx.what)
+    if spec.instance and not ctx.allow_self:
+        raise ValidationError(f"{ctx.what}: {spec.instance} outside an instance body")
     match op:
         case "const":
-            _require_keys(raw, {"op", "value"}, {"value"}, ctx.what)
-            return Const(_const_value(raw["value"], ctx.what))
+            node: Stmt | Expr = Const(_const_value(raw["value"], ctx.what))
         case "param":
-            _require_keys(raw, {"op", "index"}, {"index"}, ctx.what)
             index = raw["index"]
             if not isinstance(index, int) or isinstance(index, bool) or index < 0:
                 raise ValidationError(f"{ctx.what}: param index must be a non-negative integer")
@@ -274,27 +309,19 @@ def parse_expr(raw: object, ctx: _BodyCtx) -> Expr:
                 raise ValidationError(
                     f"{ctx.what}: param index {index} out of range for arity {ctx.arity}"
                 )
-            return Param(index)
+            node = Param(index)
         case "self":
-            _require_keys(raw, {"op"}, set(), ctx.what)
-            if not ctx.allow_self:
-                raise ValidationError(f"{ctx.what}: self reference outside an instance body")
-            return SelfRef()
+            node = SelfRef()
         case "get":
-            _require_keys(raw, {"op", "field"}, {"field"}, ctx.what)
-            if not ctx.allow_self:
-                raise ValidationError(f"{ctx.what}: field read outside an instance body")
-            return GetField(_ident(raw["field"], ctx.what))
+            node = GetField(_ident(raw["field"], ctx.what))
         case "gget":
-            _require_keys(raw, {"op", "name"}, {"name"}, ctx.what)
-            return GetGlobal(_qname(raw["name"], ctx.what))
+            node = GetGlobal(_qname(raw["name"], ctx.what))
         case "bin":
-            _require_keys(raw, {"op", "o", "l", "r"}, {"o", "l", "r"}, ctx.what)
             if not isinstance(raw["o"], str) or raw["o"] not in OPERATORS:
                 raise ValidationError(f"{ctx.what}: unknown operator {raw['o']!r}")
-            return BinOp(raw["o"], parse_expr(raw["l"], ctx), parse_expr(raw["r"], ctx))
+            left, right = parse_body(raw["l"], ctx, False), parse_body(raw["r"], ctx, False)
+            node = BinOp(raw["o"], left, right)
         case "builtin":
-            _require_keys(raw, {"op", "name", "args"}, {"name", "args"}, ctx.what)
             name = raw["name"]
             if not isinstance(name, str) or name not in BUILTINS:
                 raise ValidationError(f"{ctx.what}: unknown builtin {name!r}")
@@ -305,105 +332,65 @@ def parse_expr(raw: object, ctx: _BodyCtx) -> Expr:
             if count < low or (high is not None and count > high):
                 bound = f"at least {low}" if count < low else f"at most {high}"
                 raise ValidationError(f"{ctx.what}: builtin {name!r} takes {bound} argument(s)")
-            return Builtin(name, tuple(parse_expr(a, ctx) for a in raw["args"]))
+            node = Builtin(name, tuple(parse_body(a, ctx, False) for a in raw["args"]))
         case "new":
-            _require_keys(raw, {"op", "type", "args"}, {"type", "args"}, ctx.what)
             if not isinstance(raw["args"], list):
                 raise ValidationError(f"{ctx.what}: new args must be a list")
-            return New(
-                _qname(raw["type"], ctx.what),
-                tuple(parse_expr(a, ctx) for a in raw["args"]),
-            )
-        case _:
-            raise ValidationError(f"{ctx.what}: unknown expression op {op!r}")
-
-
-def parse_stmt(raw: object, ctx: _BodyCtx) -> Stmt:
-    if not isinstance(raw, dict) or "op" not in raw:
-        raise ValidationError(f"{ctx.what}: statement must be an object with an 'op' key")
-    op = raw["op"]
-    match op:
+            node = New(_qname(raw["type"], ctx.what),
+                       tuple(parse_body(a, ctx, False) for a in raw["args"]))
         case "set":
-            _require_keys(raw, {"op", "field", "value"}, {"field", "value"}, ctx.what)
-            if not ctx.allow_self:
-                raise ValidationError(f"{ctx.what}: field write outside an instance body")
-            return SetField(_ident(raw["field"], ctx.what), parse_expr(raw["value"], ctx))
+            node = SetField(_ident(raw["field"], ctx.what), parse_body(raw["value"], ctx, False))
         case "gset":
-            _require_keys(raw, {"op", "name", "value"}, {"name", "value"}, ctx.what)
-            return SetGlobal(_qname(raw["name"], ctx.what), parse_expr(raw["value"], ctx))
-        case "ret":
-            _require_keys(raw, {"op", "value"}, set(), ctx.what)
-            if "value" not in raw:
-                return Return(None)
-            return Return(parse_expr(raw["value"], ctx))
-        case _:
-            return ExprStmt(parse_expr(raw, ctx))
+            node = SetGlobal(_qname(raw["name"], ctx.what), parse_body(raw["value"], ctx, False))
+        case _:  # ret
+            node = Return(parse_body(raw["value"], ctx, False) if "value" in raw else None)
+    return ExprStmt(node) if statement and not spec.statement else node
 
 
-def _expr_to_json(expr: Expr) -> object:
-    match expr:
-        case Const(value):
-            return {"op": "const", "value": _const_to_json(value)}
-        case Param(index):
-            return {"op": "param", "index": index}
-        case SelfRef():
-            return {"op": "self"}
-        case GetField(name):
-            return {"op": "get", "field": name}
-        case GetGlobal(name):
-            return {"op": "gget", "name": name}
-        case BinOp(op, left, right):
-            return {"op": "bin", "o": op, "l": _expr_to_json(left), "r": _expr_to_json(right)}
-        case Builtin(name, args):
-            return {"op": "builtin", "name": name, "args": [_expr_to_json(a) for a in args]}
-        case New(type_name, args):
-            return {"op": "new", "type": type_name, "args": [_expr_to_json(a) for a in args]}
-        case _:
-            raise ValidationError(f"unserializable expression {expr!r}")
-
-
-def _stmt_to_json(stmt: Stmt) -> object:
-    match stmt:
-        case SetField(name, value):
-            return {"op": "set", "field": name, "value": _expr_to_json(value)}
-        case SetGlobal(name, value):
-            return {"op": "gset", "name": name, "value": _expr_to_json(value)}
-        case Return(None):
-            return {"op": "ret"}
-        case Return(value):
-            return {"op": "ret", "value": _expr_to_json(value)}
-        case ExprStmt(value):
-            return _expr_to_json(value)
-        case _:
-            raise ValidationError(f"unserializable statement {stmt!r}")
+def _body_to_json(node: object, statement: bool) -> object:
+    """The JSON of a statement (`statement`) or expression node, as `parse_body` reads it."""
+    if statement and type(node) is ExprStmt:
+        node, statement = node.value, False
+    op = _OP_OF_NODE.get(type(node))
+    if op is None or _OPS[op].statement != statement:
+        position = "statement" if statement else "expression"
+        raise ValidationError(f"unserializable {position} {node!r}")
+    out: dict = {"op": op}
+    for (key, how), attr in zip(_OPS[op].keys.items(), node.__match_args__):
+        value = getattr(node, attr)
+        if how == _PLAIN:
+            out[key] = value
+        elif how == _CONST:
+            out[key] = None if value.tag == TAG_VOID else value.value
+        elif how == _EXPRS:
+            out[key] = [_body_to_json(a, False) for a in value]
+        elif value is not None or how == _EXPR:  # a `ret` without a value leaves its key out
+            out[key] = _body_to_json(value, False)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# signatures, fields, globals
+# callables, fields, globals
 # ---------------------------------------------------------------------------
 
-def _parse_signature(raw: dict, what: str, instance_ok: bool) -> tuple[str, MethodSignature]:
-    _require_keys(raw, {"name", "static", "params", "returns", "body"}, {"name"}, what)
-    name = _ident(raw["name"], what)
+_TYPE_KEYS = frozenset({"name", "namespace", "bases", "fields", "methods", "ctors"})
+_CTOR_KEYS = frozenset({"params", "body"})
+_METHOD_KEYS = _CTOR_KEYS | {"name", "static", "returns"}
+_FUNCTION_KEYS = _METHOD_KEYS | {"namespace"}
+
+
+def _parse_callable(raw: dict, what: str, allowed: frozenset[str], instance_ok: bool
+                    ) -> tuple[str, MethodSignature]:
+    """Name, params, return kind and body of a method, function or constructor
+    entry. A constructor (no name among `allowed`) is named "" and returns
+    void, a free function (not `instance_ok`) is static, and only a
+    non-static body may use `self`."""
+    _require_keys(raw, allowed, allowed & {"name"}, what)
+    name = _ident(raw["name"], what) if "name" in allowed else ""
     is_static = raw.get("static", False)
     if not isinstance(is_static, bool):
         raise ValidationError(f"{what}: 'static' must be a boolean")
-    if not instance_ok:
-        is_static = True  # free functions always execute without a receiver
-    return name, _parse_callable(raw, what, is_static)
-
-
-def _parse_ctor(raw: dict, what: str) -> MethodSignature:
-    _require_keys(raw, {"params", "body"}, set(), what)
-    return _parse_callable(raw, what, is_static=False)
-
-
-def _parse_callable(raw: dict, what: str, is_static: bool) -> MethodSignature:
-    """Params, return kind and body of a method, function or constructor entry.
-
-    Only a non-static body may use `self`; a constructor has no
-    'returns' key, so it returns void.
-    """
+    is_static = is_static or not instance_ok
     params_raw = raw.get("params", [])
     if not isinstance(params_raw, list):
         raise ValidationError(f"{what}: params must be a list")
@@ -413,8 +400,8 @@ def _parse_callable(raw: dict, what: str, is_static: bool) -> MethodSignature:
     if not isinstance(body_raw, list):
         raise ValidationError(f"{what}: body must be a list of statements")
     ctx = _BodyCtx(len(params), allow_self=not is_static, what=what)
-    body = tuple(parse_stmt(s, ctx) for s in body_raw)
-    return MethodSignature(params, returns, is_static, body)
+    body = tuple(parse_body(s, ctx, True) for s in body_raw)
+    return name, MethodSignature(params, returns, is_static, body)
 
 
 #: the initial of a declaration that gives none; an enum kind must give one
@@ -601,21 +588,13 @@ def _parse_manifest(text: str) -> ManifestAST:
             table[enumerator] = value
         enums[enum_name] = table
 
-    types = tuple(
-        _parse_type(raw, i) for i, raw in enumerate(_as_list(data.get("types", []), "types"))
-    )
-    functions = tuple(
-        _parse_function(raw, i)
-        for i, raw in enumerate(_as_list(data.get("functions", []), "functions"))
-    )
-    globals_ = tuple(
-        _parse_global(raw, i)
-        for i, raw in enumerate(_as_list(data.get("globals", []), "globals"))
-    )
+    types = _entries(data, "types", _parse_type)
+    functions = _entries(data, "functions", _parse_function)
+    globals_ = _entries(data, "globals", _parse_global)
 
     statements_raw = _as_list(data.get("statements", []), "statements")
     macro_ctx = _BodyCtx(0, allow_self=False, what="macro statements")
-    statements = tuple(parse_stmt(s, macro_ctx) for s in statements_raw)
+    statements = tuple(parse_body(s, macro_ctx, True) for s in statements_raw)
 
     ast = ManifestAST(tuple(namespaces), enums, types, functions, globals_, statements)
     _validate_manifest(ast)
@@ -628,16 +607,19 @@ def _as_list(raw: object, what: str) -> list:
     return raw
 
 
-def _parse_type(raw: object, index: int) -> TypeSpec:
-    what = f"types[{index}]"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{what} must be an object")
-    _require_keys(
-        raw,
-        {"name", "namespace", "bases", "fields", "methods", "ctors"},
-        {"name"},
-        what,
-    )
+def _entries(data: dict, key: str, parse: Callable[[dict, str], object]) -> tuple:
+    """The objects of a top-level entry list, each read by `parse` as `key[i]`."""
+    entries = []
+    for index, raw in enumerate(_as_list(data.get(key, []), key)):
+        what = f"{key}[{index}]"
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{what} must be an object")
+        entries.append(parse(raw, what))
+    return tuple(entries)
+
+
+def _parse_type(raw: dict, what: str) -> TypeSpec:
+    _require_keys(raw, _TYPE_KEYS, {"name"}, what)
     name = _ident(raw["name"], what)
     what = f"type {name}"
     namespace = _qname(raw.get("namespace", ""), what, allow_empty=True)
@@ -665,8 +647,7 @@ def _parse_type(raw: object, index: int) -> TypeSpec:
     for mraw in _as_list(raw.get("methods", []), f"{what} methods"):
         if not isinstance(mraw, dict):
             raise ValidationError(f"{what}: method entries must be objects")
-        mname, sig = _parse_signature(mraw, f"{what} method", instance_ok=True)
-        methods.append(MethodSpec(mname, sig))
+        methods.append(MethodSpec(*_parse_callable(mraw, f"{what} method", _METHOD_KEYS, True)))
     _check_distinguishable(
         [(m.name, m.signature) for m in methods], f"{what} methods"
     )
@@ -675,7 +656,7 @@ def _parse_type(raw: object, index: int) -> TypeSpec:
     for craw in _as_list(raw.get("ctors", []), f"{what} ctors"):
         if not isinstance(craw, dict):
             raise ValidationError(f"{what}: ctor entries must be objects")
-        ctors.append(_parse_ctor(craw, f"{what} constructor"))
+        ctors.append(_parse_callable(craw, f"{what} constructor", _CTOR_KEYS, True)[1])
     _check_distinguishable([("(ctor)", c) for c in ctors], f"{what} constructors")
 
     shared = None if any(f.kind.tag == TAG_ENUM for f in fields) else _field_decls(fields, {}, what)
@@ -683,20 +664,13 @@ def _parse_type(raw: object, index: int) -> TypeSpec:
                     join_path(namespace, name), shared)
 
 
-def _parse_function(raw: object, index: int) -> FunctionSpec:
-    what = f"functions[{index}]"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{what} must be an object")
+def _parse_function(raw: dict, what: str) -> FunctionSpec:
     namespace = _qname(raw.get("namespace", ""), what, allow_empty=True)
-    body = {k: v for k, v in raw.items() if k != "namespace"}
-    name, sig = _parse_signature(body, what, instance_ok=False)
+    name, sig = _parse_callable(raw, what, _FUNCTION_KEYS, False)
     return FunctionSpec(name, namespace, sig, join_path(namespace, name))
 
 
-def _parse_global(raw: object, index: int) -> GlobalSpec:
-    what = f"globals[{index}]"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{what} must be an object")
+def _parse_global(raw: dict, what: str) -> GlobalSpec:
     _require_keys(raw, {"name", "namespace", "kind", "initial"}, {"name", "kind"}, what)
     name = _ident(raw["name"], what)
     namespace = _qname(raw.get("namespace", ""), what, allow_empty=True)
@@ -759,68 +733,51 @@ def _validate_manifest(ast: ManifestAST) -> None:
 
 
 def serialize_manifest(ast: ManifestAST) -> str:
-    """Canonical text form; parse(serialize(parse(t))) is structurally equal."""
-    out: dict = {}
-    if ast.namespaces:
-        out["namespaces"] = list(ast.namespaces)
-    if ast.enums:
-        out["enums"] = {name: dict(table) for name, table in ast.enums.items()}
-    if ast.types:
-        out["types"] = [_type_to_json(t) for t in ast.types]
-    if ast.functions:
-        out["functions"] = [_function_to_json(f) for f in ast.functions]
-    if ast.globals:
-        out["globals"] = [_global_to_json(g) for g in ast.globals]
-    if ast.statements:
-        out["statements"] = [_stmt_to_json(s) for s in ast.statements]
-    return json.dumps(out, indent=2) + "\n"
+    """Canonical text form; parse(serialize(parse(t))) is structurally equal.
+
+    Keys come in one fixed order, an entry's `namespace` last. An empty
+    value is left out, except under the keys an entry always writes (see
+    `_ALWAYS_WRITTEN`) and a constructor's `body`.
+    """
+    return json.dumps(_written({
+        "namespaces": list(ast.namespaces),
+        "enums": {name: dict(table) for name, table in ast.enums.items()},
+        "types": [_written({
+            "name": t.name,
+            "namespace": t.namespace,
+            "bases": list(t.bases),
+            "fields": [{"name": f.name, "kind": kind_to_json(f.kind), "initial": f.initial_raw}
+                       for f in t.fields],
+            "methods": [_callable_to_json(m.name, m.signature) for m in t.methods],
+            "ctors": [{"params": [kind_to_json(k) for k in c.params],
+                       "body": [_body_to_json(s, True) for s in c.body]} for c in t.ctors],
+        }) for t in ast.types],
+        "functions": [_callable_to_json(f.name, f.signature, f.namespace) for f in ast.functions],
+        "globals": [_written({"name": g.name, "kind": kind_to_json(g.kind),
+                              "initial": g.initial_raw, "namespace": g.namespace})
+                    for g in ast.globals],
+        "statements": [_body_to_json(s, True) for s in ast.statements],
+    }), indent=2) + "\n"
 
 
-def _type_to_json(t: TypeSpec) -> dict:
-    out: dict = {"name": t.name}
-    if t.namespace:
-        out["namespace"] = t.namespace
-    if t.bases:
-        out["bases"] = list(t.bases)
-    if t.fields:
-        out["fields"] = [
-            {"name": f.name, "kind": kind_to_json(f.kind), "initial": f.initial_raw}
-            for f in t.fields
-        ]
-    if t.methods:
-        out["methods"] = [_sig_to_json(m.name, m.signature) for m in t.methods]
-    if t.ctors:
-        out["ctors"] = [
-            {
-                "params": [kind_to_json(k) for k in c.params],
-                "body": [_stmt_to_json(s) for s in c.body],
-            }
-            for c in t.ctors
-        ]
-    return out
+#: the keys every entry that has them writes, empty or not
+_ALWAYS_WRITTEN = frozenset({"name", "kind", "initial", "static", "params", "returns"})
 
 
-def _sig_to_json(name: str, sig: MethodSignature) -> dict:
-    out: dict = {"name": name, "static": sig.is_static}
-    out["params"] = [kind_to_json(k) for k in sig.params]
-    out["returns"] = kind_to_json(sig.returns)
-    if sig.body:
-        out["body"] = [_stmt_to_json(s) for s in sig.body]
-    return out
+def _written(entry: dict) -> dict:
+    """The one omission rule of every entry's writer: no empty value but under `_ALWAYS_WRITTEN`."""
+    return {key: value for key, value in entry.items() if value or key in _ALWAYS_WRITTEN}
 
 
-def _function_to_json(f: FunctionSpec) -> dict:
-    out = _sig_to_json(f.name, f.signature)
-    if f.namespace:
-        out["namespace"] = f.namespace
-    return out
-
-
-def _global_to_json(g: GlobalSpec) -> dict:
-    out: dict = {"name": g.name, "kind": kind_to_json(g.kind), "initial": g.initial_raw}
-    if g.namespace:
-        out["namespace"] = g.namespace
-    return out
+def _callable_to_json(name: str, sig: MethodSignature, namespace: str = "") -> dict:
+    return _written({
+        "name": name,
+        "static": sig.is_static,
+        "params": [kind_to_json(k) for k in sig.params],
+        "returns": kind_to_json(sig.returns),
+        "body": [_body_to_json(s, True) for s in sig.body],
+        "namespace": namespace,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +876,7 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
             qualified_name=t.qualified,
             bases=t.bases,
             fields=t.decls if t.decls is not None else _field_decls(t.fields, enums_overlay, what),
-            methods=_add_methods({}, t.methods),
+            methods=_add_methods({}, t.methods) if t.methods else registry.no_methods,
             ctors=t.ctors,
         )
         new_types.append((t.name, desc))
@@ -1000,7 +957,7 @@ def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> Non
         registry.declare("type", desc.qualified_name, name, desc)
     registry.hand_over_layouts(plan.layouts)
     for desc, methods in plan.extensions:
-        _add_methods(desc.methods, methods)
+        desc.methods = _add_methods(dict(desc.methods), methods)
     for fn in plan.functions:
         overloads = registry.entries.get(fn.qualified)
         if overloads is None:  # only the first overload adds a name

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 from conftest import GOLDEN, REPO_ROOT
 from support import pair_fault_texts, random_manifest_texts
 
+import rjs.registry
 from rjs.errors import RjsError, ValidationError
+from rjs.heap import BUILTINS
 from rjs.model import (
     BinOp,
     Builtin,
@@ -120,3 +123,24 @@ def test_serializer_refuses_a_node_in_the_wrong_position(ast, message):
     with pytest.raises(ValidationError) as caught:
         serialize_manifest(ast)
     assert str(caught.value) == message
+
+
+# -- the README's list of body ops and builtins is the code's --------------------------
+
+
+def _manifest_section() -> str:
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Plugin / macro manifests", 1)[1].split("\n## ", 1)[0]
+
+
+def test_the_readme_lists_each_body_op_with_its_keys():
+    rows = re.findall(r"^\| `(\w+)` \|([^|]*)\|", _manifest_section(), re.MULTILINE)
+    documented = {op: tuple(re.findall(r"`(\w+)`", keys)) for op, keys in rows}
+    assert documented == {op: tuple(spec.keys) for op, spec in rjs.registry._OPS.items()}
+    (ret_keys,) = [keys for op, keys in rows if op == "ret"]
+    assert "(optional)" in ret_keys
+
+
+def test_the_readme_lists_each_builtin():
+    (line,) = re.findall(r"^Builtins: (.*)\.$", _manifest_section(), re.MULTILINE)
+    assert re.findall(r"`(\w+)`", line) == list(BUILTINS)

@@ -501,3 +501,25 @@ def test_merge_completeness(text: str):
             found = registry.lookup(path)  # must resolve
             if category == "namespace":
                 assert isinstance(found, NamespaceNode)
+
+
+def test_method_less_types_share_their_registrys_empty_method_map():
+    text = json.dumps({"types": [
+        {"name": "A"}, {"name": "B", "bases": ["A"]},
+        {"name": "C", "methods": [{"name": "Get", "returns": "i64"}]}]})
+    ours, theirs = Registry(), Registry()
+    for registry in (ours, theirs):
+        merge(registry, parse_manifest(text))
+    shared = ours.no_methods
+    assert ours.find_type("A").methods is shared and ours.find_type("B").methods is shared
+    assert ours.find_type("C").methods is not shared
+    assert theirs.find_type("A").methods is theirs.no_methods and theirs.no_methods is not shared
+    with pytest.raises(TypeError):
+        shared["Get"] = OverloadSet("Get")  # type: ignore[index]
+
+    eval_macro(ours, Heap(ours), json.dumps({"types": [{"name": "A", "methods": [
+        {"name": "Extra", "returns": "i64", "body": [{"op": "ret", "value": {"op": "const", "value": 1}}]}]}]}))
+    assert type(ours.find_type("A").methods) is dict
+    assert ours.method_set("A", "Extra") is ours.method_set("B", "Extra") is not None
+    assert ours.find_type("B").methods is shared and len(shared) == 0
+    assert theirs.method_set("A", "Extra") is None and len(theirs.no_methods) == 0
