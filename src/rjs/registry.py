@@ -379,7 +379,7 @@ _METHOD_KEYS = _CTOR_KEYS | {"name", "static", "returns"}
 _FUNCTION_KEYS = _METHOD_KEYS | {"namespace"}
 
 
-def _parse_callable(raw: dict, what: str, allowed: frozenset[str], instance_ok: bool
+def _parse_callable(raw: dict, what: str, allowed: frozenset[str], instance_ok: bool = True
                     ) -> tuple[str, MethodSignature]:
     """Name, params, return kind and body of a method, function or constructor
     entry. A constructor (no name among `allowed`) is named "" and returns
@@ -647,7 +647,7 @@ def _parse_type(raw: dict, what: str) -> TypeSpec:
     for mraw in _as_list(raw.get("methods", []), f"{what} methods"):
         if not isinstance(mraw, dict):
             raise ValidationError(f"{what}: method entries must be objects")
-        methods.append(MethodSpec(*_parse_callable(mraw, f"{what} method", _METHOD_KEYS, True)))
+        methods.append(MethodSpec(*_parse_callable(mraw, f"{what} method", _METHOD_KEYS)))
     _check_distinguishable(
         [(m.name, m.signature) for m in methods], f"{what} methods"
     )
@@ -656,7 +656,7 @@ def _parse_type(raw: dict, what: str) -> TypeSpec:
     for craw in _as_list(raw.get("ctors", []), f"{what} ctors"):
         if not isinstance(craw, dict):
             raise ValidationError(f"{what}: ctor entries must be objects")
-        ctors.append(_parse_callable(craw, f"{what} constructor", _CTOR_KEYS, True)[1])
+        ctors.append(_parse_callable(craw, f"{what} constructor", _CTOR_KEYS)[1])
     _check_distinguishable([("(ctor)", c) for c in ctors], f"{what} constructors")
 
     shared = None if any(f.kind.tag == TAG_ENUM for f in fields) else _field_decls(fields, {}, what)
@@ -666,7 +666,7 @@ def _parse_type(raw: dict, what: str) -> TypeSpec:
 
 def _parse_function(raw: dict, what: str) -> FunctionSpec:
     namespace = _qname(raw.get("namespace", ""), what, allow_empty=True)
-    name, sig = _parse_callable(raw, what, _FUNCTION_KEYS, False)
+    name, sig = _parse_callable(raw, what, _FUNCTION_KEYS, instance_ok=False)
     return FunctionSpec(name, namespace, sig, join_path(namespace, name))
 
 
@@ -740,12 +740,12 @@ def serialize_manifest(ast: ManifestAST) -> str:
     `_ALWAYS_WRITTEN`) and a constructor's `body`.
     """
     return json.dumps(_written({
-        "namespaces": list(ast.namespaces),
+        "namespaces": ast.namespaces,
         "enums": {name: dict(table) for name, table in ast.enums.items()},
         "types": [_written({
             "name": t.name,
             "namespace": t.namespace,
-            "bases": list(t.bases),
+            "bases": t.bases,
             "fields": [{"name": f.name, "kind": kind_to_json(f.kind), "initial": f.initial_raw}
                        for f in t.fields],
             "methods": [_callable_to_json(m.name, m.signature) for m in t.methods],
