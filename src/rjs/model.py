@@ -584,17 +584,6 @@ class Registry:
         """
         self._walked = walked
 
-    def check_namespace_path(self, path: str) -> None:
-        """Raise ConflictError if a prefix of `path` names something else."""
-        walked = ""
-        for part in split_path(path):
-            walked = join_path(walked, part)
-            existing = self.entries.get(walked)
-            if existing is None:
-                return  # the rest of the path is new
-            if not isinstance(existing, NamespaceNode):
-                raise ConflictError(f"{walked!r} already declared as a {category(existing)}")
-
     def declare_global(self, qualified: str, kind: ValueKind, initial: HostValue) -> GlobalDecl:
         """Macro support: register a global without bumping the version."""
         namespace, _, name = qualified.rpartition(".")

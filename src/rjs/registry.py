@@ -2,11 +2,12 @@
 
 Plugins and macros share one UTF-8 JSON file format. `parse_manifest`
 turns text into a validated ManifestAST without touching any registry;
-`merge` folds declarations into a registry atomically (all or nothing)
-and bumps the version; `eval_macro` additionally executes the manifest's
-top-level statement list against the heap. Declarations merge before
-statements run, so a faulting macro still leaves its declarations in
-place with the version bumped, and the bridge resynchronizes either way.
+`merge` folds declarations into a registry in one pass (`_fold`: every
+check, then every write, so a fault writes nothing) and bumps the
+version; `eval_macro` additionally executes the manifest's top-level
+statement list against the heap. Declarations merge before statements
+run, so a faulting macro still leaves its declarations in place with the
+version bumped, and the bridge resynchronizes either way.
 
 A plugin text is parsed once per process (`parse_manifest` memoises
 statement-free results by text), so a long-lived host that opens
@@ -67,7 +68,6 @@ from .model import (
     SetField,
     SetGlobal,
     Stmt,
-    TypeLayout,
     VOID,
     ValueKind,
     boolean,
@@ -784,17 +784,6 @@ def _callable_to_json(name: str, sig: MethodSignature, namespace: str = "") -> d
 # merge
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class _MergePlan:
-    namespaces: tuple[str, ...]
-    enums: dict[str, dict[str, int]]
-    new_types: list[tuple[str, HostTypeDescriptor]]  # (short name, descriptor)
-    extensions: list[tuple[HostTypeDescriptor, tuple[MethodSpec, ...]]]  # existing type, new methods
-    functions: tuple[FunctionSpec, ...]
-    globals: list[GlobalDecl]
-    layouts: dict[str, TypeLayout]  # new type name -> its checked layout
-
-
 def _check_quiescent(registry: Registry) -> None:
     # a snapshot: engines on other threads join and leave at any time
     pending = sum(engine.pending_count() for engine in tuple(registry.engines))
@@ -805,9 +794,10 @@ def _check_quiescent(registry: Registry) -> None:
 def merge(registry: Registry, ast: ManifestAST, heap: Heap | None = None) -> int:
     """Fold a validated manifest into the registry; returns the new version.
 
-    Atomic with respect to failures: a conflict leaves the registry (and
-    version) untouched. When a heap is supplied, newly declared globals
-    get their initial values stored there (`Heap.write_global`).
+    Atomic: `_fold` checks every declaration before it writes any, so a
+    fault leaves the registry (and version) untouched. When a heap is
+    supplied, newly declared globals get their initial values stored
+    there (`Heap.write_global`).
     """
     _check_quiescent(registry)
     if ast.statements:
@@ -830,14 +820,8 @@ def eval_macro(registry: Registry, heap: Heap, text: str) -> MacroResult:
 
 
 def _fold(registry: Registry, ast: ManifestAST, heap: Heap | None) -> int:
-    """Plan, apply, bump the version: the declaration half of merge and eval_macro."""
-    _apply_merge(registry, _plan_merge(registry, ast), heap)
-    registry.version += 1
-    return registry.version
-
-
-def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
-    """Check every declaration against the registry; mutates nothing but the layout cache."""
+    """The declaration half of merge and eval_macro in one pass: every check,
+    then every write, then the version bump. A fault writes nothing."""
     # the previous merge's unused layouts go before this one walks its own,
     # so one merge's layouts at most are alive (a cache; nothing observable)
     registry.hand_over_layouts({})
@@ -846,8 +830,16 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
             raise ConflictError(f"enum {enum_name!r} already declared")
     enums_overlay = {**registry.enums, **ast.enums}
 
+    new_namespaces: dict[str, str] = {}  # path -> last part, parents first
     for path in ast.namespace_paths:
-        registry.check_namespace_path(path)
+        walked = ""
+        for part in split_path(path):
+            walked = join_path(walked, part)
+            existing = registry.entries.get(walked)
+            if existing is None:
+                new_namespaces[walked] = part
+            elif not isinstance(existing, NamespaceNode):
+                raise ConflictError(f"{walked!r} already declared as a {category(existing)}")
 
     # types: split into fresh declarations and method-only extensions
     new_types: list[tuple[str, HostTypeDescriptor]] = []
@@ -904,15 +896,28 @@ def _plan_merge(registry: Registry, ast: ManifestAST) -> _MergePlan:
         initial = _resolve_initial(g.kind, g.initial_raw, enums_overlay, f"global {g.qualified}")
         globals_.append(GlobalDecl(g.name, g.qualified, g.kind, initial))
 
-    return _MergePlan(
-        namespaces=ast.namespace_paths,
-        enums=ast.enums,
-        new_types=new_types,
-        extensions=extensions,
-        functions=ast.functions,
-        globals=globals_,
-        layouts=layouts,
-    )
+    # every check has passed: write
+    for name, table in ast.enums.items():
+        registry.enums[name] = dict(table)
+    for path, name in new_namespaces.items():
+        registry.declare("namespace", path, name, NamespaceNode(name))
+    for name, desc in new_types:
+        registry.declare("type", desc.qualified_name, name, desc)
+    registry.hand_over_layouts(layouts)
+    for desc, methods in extensions:
+        desc.methods = _add_methods(dict(desc.methods), methods)
+    for fn in ast.functions:
+        overloads = registry.entries.get(fn.qualified)
+        if overloads is None:  # only the first overload adds a name
+            overloads = OverloadSet(fn.name)
+            registry.declare("function", fn.qualified, fn.name, overloads)
+        overloads.signatures.append(fn.signature)  # type: ignore[union-attr]
+    for decl in globals_:
+        registry.declare("global", decl.qualified, decl.name, decl)
+        if heap is not None:
+            heap.write_global(decl.qualified, decl.initial)
+    registry.version += 1
+    return registry.version
 
 
 def _check_overload(
@@ -942,29 +947,3 @@ def _add_methods(
     for m in methods:
         sets.setdefault(m.name, OverloadSet(m.name)).signatures.append(m.signature)
     return sets
-
-
-def _apply_merge(registry: Registry, plan: _MergePlan, heap: Heap | None) -> None:
-    for name, table in plan.enums.items():
-        registry.enums[name] = dict(table)
-    for path in plan.namespaces:  # the plan has checked every existing prefix
-        walked = ""
-        for part in split_path(path):
-            walked = join_path(walked, part)
-            if walked not in registry.entries:
-                registry.declare("namespace", walked, part, NamespaceNode(part))
-    for name, desc in plan.new_types:
-        registry.declare("type", desc.qualified_name, name, desc)
-    registry.hand_over_layouts(plan.layouts)
-    for desc, methods in plan.extensions:
-        desc.methods = _add_methods(dict(desc.methods), methods)
-    for fn in plan.functions:
-        overloads = registry.entries.get(fn.qualified)
-        if overloads is None:  # only the first overload adds a name
-            overloads = OverloadSet(fn.name)
-            registry.declare("function", fn.qualified, fn.name, overloads)
-        overloads.signatures.append(fn.signature)  # type: ignore[union-attr]
-    for decl in plan.globals:
-        registry.declare("global", decl.qualified, decl.name, decl)
-        if heap is not None:
-            heap.write_global(decl.qualified, decl.initial)
