@@ -106,7 +106,7 @@ class Heap:
         return handle
 
     def _object(self, handle: int) -> HostObject:
-        """The live object `handle` names; callers hold the lock (`_match_exact` only reads)."""
+        """The live object `handle` names; callers hold the lock."""
         obj = self.objects.get(self.aliases.get(handle, -1))
         if obj is None:
             raise DanglingHandle(f"handle {handle:#x} does not reference a live object")
@@ -159,7 +159,8 @@ class Heap:
         try:
             if signature is None:
                 if desc.ctors:
-                    signature = self._match_exact(desc.ctors, args)
+                    with self._lock:
+                        signature = self._match_exact(desc.ctors, args)
                     if signature is None:
                         kinds = ", ".join(a.tag for a in args)
                         raise HostExecError(f"no constructor of {type_name!r} matches ({kinds})")

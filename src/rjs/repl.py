@@ -7,6 +7,7 @@ import io
 from typing import TextIO
 
 from .bridge import Bridge, weak_method
+from .dispatcher import report_fault
 from .errors import RjsError
 from .model import Registry, kind_str, sig_str
 from .script import Environment, Interpreter, SExprStmt, parse, render_value
@@ -73,7 +74,7 @@ class ReplSession:
         bridge.error_sink = weak_method(self._async_error)
 
     def _async_error(self, call_id: int, exc: Exception) -> None:
-        self.interp.out.write(f"async call #{call_id} failed: {type(exc).__name__}: {exc}\n")
+        report_fault(self.interp.out, call_id, exc)
 
     def step(self, line: str) -> str:
         """Evaluate one line and pump pending completions once.

@@ -845,3 +845,29 @@ def test_the_heap_lock_is_never_nested(bridge, sample_plugin, path):
     assert lock.max_depth == 1
     if path == "Fill":
         assert lock.acquisitions <= 6
+
+
+def test_every_handle_is_resolved_under_the_heap_lock(bridge, monkeypatch):
+    # a host `new` matches constructors by exact kind, and an object
+    # parameter resolves the argument's handle to check its type
+    merge(bridge.registry, parse_manifest(json.dumps({"types": [
+        {"name": "P"},
+        {"name": "Holder", "fields": [{"name": "p", "kind": {"obj": "P"}}],
+         "ctors": [{"params": [{"obj": "P"}], "body": [
+             {"op": "set", "field": "p", "value": {"op": "param", "index": 0}}]}]},
+    ]})), bridge.heap)
+    lock = DepthRecordingLock()
+    bridge.heap._lock = lock
+    depths = []
+    resolve = type(bridge.heap)._object
+
+    def recording(heap, handle):
+        depths.append(getattr(lock._local, "depth", 0))
+        return resolve(heap, handle)
+
+    monkeypatch.setattr(type(bridge.heap), "_object", recording)
+    result = eval_macro(bridge.registry, bridge.heap, json.dumps({"statements": [
+        {"op": "ret", "value": {"op": "new", "type": "Holder",
+                                "args": [{"op": "new", "type": "P", "args": []}]}}]}))
+    assert bridge.heap.identify(result.value.value)[1] == "Holder"
+    assert depths and set(depths) == {1}

@@ -6,13 +6,16 @@ fails on any store into, or `del` of, an item of an attribute with one
 of those table names outside `heap.py`, and on a store of a global's
 value anywhere in `heap.py` but `Heap.write_global`. Reading is allowed
 anywhere. Likewise only an engine's lifecycle changes `Registry.engines`:
-`Dispatcher.submit` adds, `Dispatcher.shutdown` discards. And every rjs
-dataclass passes `slots=True`, so its instances carry no `__dict__`.
+`Dispatcher.submit` adds, `Dispatcher.shutdown` discards. `Registry.declare`,
+the one writer of names, is called only by the merge (`registry._fold`) and
+by `Registry.declare_global`. And every rjs dataclass passes `slots=True`,
+so its instances carry no `__dict__`.
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -110,21 +113,28 @@ def _is_engines(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "engines"
 
 
-def engines_changes(tree: ast.AST, scope: str = "") -> list[tuple[str, str, int]]:
+def _scoped(tree: ast.AST, scope: str = "") -> Iterator[tuple[str, ast.AST]]:
+    """(enclosing class.function, node) of each node under `tree` but the
+    class and function definitions themselves."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scoped(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        yield scope, node
+        yield from _scoped(node, scope)
+
+
+def engines_changes(tree: ast.AST) -> list[tuple[str, str, int]]:
     """(enclosing class.function, change, line) of each assignment to or `del` of an
     attribute named `engines`, and of each mutating method referenced on one."""
     found = []
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += engines_changes(node, f"{scope}.{node.name}".lstrip("."))
-            continue
+    for scope, node in _scoped(tree):
         for target in _targets(node):
             for leaf in _unpacked(target):
                 if _is_engines(leaf):
                     found.append((scope, "del" if isinstance(node, ast.Delete) else "=", leaf.lineno))
         if isinstance(node, ast.Attribute) and node.attr in ENGINES_MUTATORS and _is_engines(node.value):
             found.append((scope, node.attr, node.lineno))
-        found += engines_changes(node, scope)
     return found
 
 
@@ -182,6 +192,64 @@ def test_each_lifecycle_change_of_registry_engines_is_in_place():
         for scope, change, _ in engines_changes(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found == ENGINES_ALLOWED
+
+
+# -- `Registry.declare` is called by the merge and by a macro's new global only ---------
+
+DECLARE_CALLERS = {"_fold", "Registry.declare_global"}
+
+
+def declare_uses(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of each reference to an attribute named `declare`."""
+    return [(scope, node.lineno) for scope, node in _scoped(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "declare"]
+
+
+def declare_violations(source: str, filename: str = "<source>") -> list[str]:
+    """`file:line` and scope of each reference to `.declare` outside its two callers."""
+    return [
+        f"{filename}:{line} {scope or '<module>'}"
+        for scope, line in declare_uses(ast.parse(source, filename))
+        if scope not in DECLARE_CALLERS
+    ]
+
+
+@pytest.mark.parametrize("source, count", [
+    ("registry.declare('type', qualified, name, desc)", 1),
+    ("def merge(registry):\n    registry.declare('type', q, n, d)\n    registry.declare('global', q, n, d)", 2),
+    ("class Registry:\n    def ensure_namespace(self, path):\n        self.declare('namespace', path, path, n)", 1),
+    ("add = registry.declare\nadd('type', q, n, d)", 1),
+    ("def _fold(registry):\n    def later():\n        registry.declare('type', q, n, d)", 1),
+    ("class Heap:\n    def _fold(self):\n        self.registry.declare('type', q, n, d)", 1),
+    ("class Registry:\n    def declare_global(self):\n        pass\ndef f(r):\n    r.declare('global', q, n, d)", 1),
+])
+def test_the_declare_lint_sees_each_other_caller(source, count):
+    assert len(declare_violations(source)) == count
+
+
+@pytest.mark.parametrize("source", [
+    "def _fold(registry, ast, heap):\n    registry.declare('namespace', path, name, node)",
+    "class Registry:\n    def declare_global(self, q, k, i):\n        self.declare('global', q, n, d)",
+    "class Registry:\n    def declare(self, category, qualified, name, entry):\n        pass",
+    "decl = registry.declare_global(qualified, kind, initial)",
+    "declare('type', q, n, d)\nregistry.declared = True",
+])
+def test_the_declare_lint_passes_its_callers_and_other_names(source):
+    assert declare_violations(source) == []
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_only_the_merge_and_declare_global_call_registry_declare(path):
+    assert declare_violations(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_each_caller_of_registry_declare_is_in_place():
+    found = {
+        scope
+        for path in ALL_SOURCES
+        for scope, _ in declare_uses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == DECLARE_CALLERS
 
 
 # -- every rjs dataclass is slotted -----------------------------------------------------

@@ -140,6 +140,25 @@ def test_async_fault_prints_into_session(session, bridge):
     assert "HostExecError" in text and "division" in text
 
 
+def test_an_async_fault_prints_one_line_into_the_session_and_none_to_diag(session, bridge):
+    repl, out = session
+    merge(bridge.registry, parse_manifest(json.dumps({
+        "functions": [{"name": "Bad", "params": [], "returns": "i64", "body": [
+            {"op": "ret", "value": {"op": "bin", "o": "/",
+                                    "l": {"op": "const", "value": 1},
+                                    "r": {"op": "const", "value": 0}}}]}]})),
+        bridge.heap)
+    bridge.refresh()
+    expected = "async call #1 failed: HostExecError: integer division by zero\n"
+    repl.step("root.Bad(fn(v) { print(v); });")
+    deadline = time.monotonic() + 5
+    while out.getvalue() != expected and time.monotonic() < deadline:
+        time.sleep(0.01)
+        repl.step(".pump")
+    assert out.getvalue() == expected
+    assert bridge.diag.getvalue() == ""
+
+
 def test_output_also_written_to_stream(session):
     repl, out = session
     repl.step("print(7);")
