@@ -871,3 +871,4 @@ def test_every_handle_is_resolved_under_the_heap_lock(bridge, monkeypatch):
                                 "args": [{"op": "new", "type": "P", "args": []}]}}]}))
     assert bridge.heap.identify(result.value.value)[1] == "Holder"
     assert depths and set(depths) == {1}
+    assert lock.max_depth == 1
