@@ -382,7 +382,9 @@ class TypeLayout:
 
 
 def walk_layout(
-    desc: HostTypeDescriptor, find: Callable[[str], HostTypeDescriptor | None]
+    desc: HostTypeDescriptor,
+    find: Callable[[str], HostTypeDescriptor | None],
+    known: Mapping[str, TypeLayout] = MappingProxyType({}),
 ) -> TypeLayout:
     """Walk `desc`'s bases breadth-first, resolving each name with `find`.
 
@@ -391,34 +393,49 @@ def walk_layout(
     when the walk comes back to `desc`, and ConflictError when two types
     in the chain declare the same field: `desc` and an ancestor, or two
     ancestors on different paths.
+
+    `known` holds layouts already built (the merge's new types so far, in
+    manifest order). A type with one base whose layout `known` holds is
+    composed, not walked: breadth-first order from it is itself followed
+    by the base's order, so the result equals the walk's and only its own
+    fields are left to check.
     """
     name = desc.qualified_name
     chain = [desc]
     distance = {name: 0}
-    for current in chain:  # the loop sees the ancestors appended below
-        level = distance[current.qualified_name] + 1
-        for base in current.bases:
-            if base in distance:
-                if base == name:
-                    raise ValidationError(f"type {name!r} has a cyclic base chain")
-                continue
-            found = find(base)
-            if found is None:
-                raise UnknownType(f"type {name!r}: unknown base {base!r}")
-            distance[base] = level
-            chain.append(found)
-    fields: dict[str, FieldDecl] = {}
-    for ancestor in reversed(chain):  # root base first, `desc` last
-        for decl in ancestor.fields:
-            if decl.name in fields:
-                if ancestor is desc:
-                    raise ConflictError(f"type {name!r}: field {decl.name!r} shadows a base field")
-                owner = next(a for a in reversed(chain) if decl.name in {f.name for f in a.fields})
-                raise ConflictError(
-                    f"type {name!r}: field {decl.name!r} is declared by both"
-                    f" {owner.qualified_name!r} and {ancestor.qualified_name!r}"
-                )
-            fields[decl.name] = decl
+    base_layout = known.get(desc.bases[0]) if len(desc.bases) == 1 else None
+    if base_layout is not None:
+        chain += base_layout.chain
+        for ancestor, steps in base_layout.distance.items():
+            distance[ancestor] = steps + 1
+        fields = dict(base_layout.fields)
+    else:
+        for current in chain:  # the loop sees the ancestors appended below
+            level = distance[current.qualified_name] + 1
+            for base in current.bases:
+                if base in distance:
+                    if base == name:
+                        raise ValidationError(f"type {name!r} has a cyclic base chain")
+                    continue
+                found = find(base)
+                if found is None:
+                    raise UnknownType(f"type {name!r}: unknown base {base!r}")
+                distance[base] = level
+                chain.append(found)
+        fields = {}
+        for ancestor in reversed(chain[1:]):  # root base first
+            for decl in ancestor.fields:
+                if decl.name in fields:
+                    owner = next(a for a in reversed(chain) if decl.name in {f.name for f in a.fields})
+                    raise ConflictError(
+                        f"type {name!r}: field {decl.name!r} is declared by both"
+                        f" {owner.qualified_name!r} and {ancestor.qualified_name!r}"
+                    )
+                fields[decl.name] = decl
+    for decl in desc.fields:
+        if decl.name in fields:
+            raise ConflictError(f"type {name!r}: field {decl.name!r} shadows a base field")
+        fields[decl.name] = decl
     return TypeLayout(chain, distance, fields)
 
 
@@ -504,7 +521,7 @@ class Registry:
         """The type's memoised layout, or None if no such type exists.
 
         It is built on first use, by `walk_layout` or taken from the
-        layouts the latest merge walked, and kept for the life of the
+        layouts the latest merge built, and kept for the life of the
         registry. That is exact, not merely per version: a merged
         type's bases and fields never change, every base exists when its
         type is merged, types are never removed or redeclared, and an
@@ -573,10 +590,12 @@ class Registry:
         self.order[qualified] = len(self.order)
 
     def hand_over_layouts(self, walked: dict[str, TypeLayout]) -> None:
-        """Keep the layouts a merge walked for its new types until first use.
+        """Keep the layouts a merge built for its new types until first use.
 
-        `layout` then takes a type's layout from here instead of walking
-        its ancestors a second time. Only the latest merge's layouts wait:
+        A type whose one base came earlier in the same manifest has its
+        layout composed from that base's (`walk_layout`'s `known`). `layout`
+        then takes a type's layout from here instead of walking its
+        ancestors a second time. Only the latest merge's layouts wait:
         this call drops the previous merge's unused ones. A macro's types
         are typically used at once, while a plugin declares many types a
         session never touches, and memoising all of those would hold a

@@ -68,6 +68,7 @@ from .model import (
     SetField,
     SetGlobal,
     Stmt,
+    TypeLayout,
     VOID,
     ValueKind,
     boolean,
@@ -873,12 +874,12 @@ def _fold(registry: Registry, ast: ManifestAST, heap: Heap | None) -> int:
         )
         new_types.append((t.name, desc))
 
-    # the walk checks bases and field shadowing; its layouts wait for first use
+    # the walk checks bases and field shadowing in manifest order, so a type whose one
+    # base came earlier composes its layout from the base's; they wait for first use
     new_by_name = {desc.qualified_name: desc for _, desc in new_types}
-    layouts = {
-        qualified: walk_layout(desc, lambda name: new_by_name.get(name) or registry.find_type(name))
-        for qualified, desc in new_by_name.items()
-    }
+    layouts: dict[str, TypeLayout] = {}
+    for qualified, desc in new_by_name.items():
+        layouts[qualified] = walk_layout(desc, lambda n: new_by_name.get(n) or registry.find_type(n), layouts)
 
     # `parse_manifest` has rejected overloads that collide within the manifest
     for fn in ast.functions:

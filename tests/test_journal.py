@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import io
 import json
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pytest
+import rjs.registry
 import support
 from rjs import Bridge, Registry
 from rjs.bridge import FnRef, NsRef, TypeRef, refresh
 from rjs.errors import NotFound, ScriptNameError, ScriptTypeError
-from rjs.model import K_I64, FieldDecl, i64
+from rjs.model import K_I64, FieldDecl, TypeLayout, i64
 from rjs.registry import eval_macro, merge, parse_manifest
 
 METHOD_POOL = ("m0", "m1", "m2")
@@ -122,6 +124,11 @@ def step_type(world: World, data) -> tuple[dict, int]:
     bases: list[str] = []
     if world.bases:  # shared ancestors (diamonds) included
         bases = data.draw(st.lists(st.sampled_from(sorted(world.bases)), unique=True, max_size=3))
+    return {"types": [type_spec(world, data, qualified, bases)]}, 1
+
+
+def type_spec(world: World, data, qualified: str, bases: list[str]) -> dict:
+    """A new type's manifest entry with fresh fields and drawn methods, recorded in `world`."""
     fields = []
     for _ in range(data.draw(st.integers(0, 2))):
         name = world.fresh("f")
@@ -130,9 +137,34 @@ def step_type(world: World, data) -> tuple[dict, int]:
     methods = data.draw(st.lists(st.sampled_from(METHOD_POOL), unique=True, max_size=2))
     world.bases[qualified] = bases
     world.methods[qualified] = {m: 1 for m in methods}
-    spec = {"name": _split(qualified)[1], "namespace": namespace, "bases": bases,
+    namespace, name = _split(qualified)
+    return {"name": name, "namespace": namespace, "bases": bases,
             "fields": fields, "methods": [{"name": m} for m in methods]}
-    return {"types": [spec]}, 1
+
+
+def step_types(world: World, data) -> tuple[dict, int]:
+    """Several new types in one manifest: roots, single-base types (often a
+    chain through the previous one) and diamonds, declared root-first,
+    derived-first or shuffled."""
+    specs: list[dict] = []
+    for _ in range(data.draw(st.integers(2, 8))):
+        qualified = _join(data.draw(st.sampled_from(world.namespaces)), world.fresh("T"))
+        known = sorted(world.bases)
+        shape = data.draw(st.sampled_from(("root", "single", "single", "diamond")))
+        bases: list[str] = []
+        if shape == "single" and specs and data.draw(st.booleans()):
+            bases = [_join(specs[-1]["namespace"], specs[-1]["name"])]
+        elif shape == "single" and known:
+            bases = [data.draw(st.sampled_from(known))]
+        elif shape == "diamond" and len(known) > 1:
+            bases = data.draw(st.lists(st.sampled_from(known), min_size=2, max_size=3, unique=True))
+        specs.append(type_spec(world, data, qualified, bases))
+    order = data.draw(st.sampled_from(("root-first", "derived-first", "shuffled")))
+    if order == "derived-first":
+        specs.reverse()
+    elif order == "shuffled":
+        specs = data.draw(st.permutations(specs))
+    return {"types": specs}, len(specs)
 
 
 def step_extension(world: World, data) -> tuple[dict, int]:
@@ -309,6 +341,39 @@ def test_incremental_mirror_and_layouts_track_random_sequences(data):
             check_snapshot(world, added)
             check_layouts(world)
             check_index(world)
+    finally:
+        world.bridge.shutdown()
+
+
+def assert_same_layout(built: TypeLayout, walked: TypeLayout) -> None:
+    """Chain identity and order, distances and fields, each in order."""
+    assert [id(d) for d in built.chain] == [id(d) for d in walked.chain]
+    assert list(built.distance.items()) == list(walked.distance.items())
+    assert list(built.fields.items()) == list(walked.fields.items())
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_layouts_built_in_multi_type_merges_equal_full_walks_and_oracles(data):
+    world = World()
+    built = []  # (descriptor, layout) of each layout the latest merge built
+    walk = rjs.registry.walk_layout
+
+    def recording(desc, find, known):
+        layout = walk(desc, find, known)
+        built.append((desc, layout))
+        return layout
+
+    try:
+        with mock.patch.object(rjs.registry, "walk_layout", recording):
+            for _ in range(data.draw(st.integers(1, 8))):
+                step = data.draw(st.sampled_from((step_types, step_types, step_extension, step_namespace)))
+                manifest, _ = step(world, data)
+                apply(world, manifest, data.draw(st.booleans()))
+                for desc, layout in built:  # composed or walked, as a walk with no known layouts
+                    assert_same_layout(layout, walk(desc, world.registry.find_type))
+                built.clear()
+                check_layouts(world)
     finally:
         world.bridge.shutdown()
 

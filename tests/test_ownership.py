@@ -8,8 +8,11 @@ value anywhere in `heap.py` but `Heap.write_global`. Reading is allowed
 anywhere. Likewise only an engine's lifecycle changes `Registry.engines`:
 `Dispatcher.submit` adds, `Dispatcher.shutdown` discards. `Registry.declare`,
 the one writer of names, is called only by the merge (`registry._fold`) and
-by `Registry.declare_global`. And every rjs dataclass passes `slots=True`,
-so its instances carry no `__dict__`.
+by `Registry.declare_global`. Only `model.walk_layout` follows a type's
+`.bases`; besides it the attribute is read by `TypeSpec.is_extension`, by the
+descriptor build in `registry._fold` (as its `bases=` argument), by the
+manifest writer and by `repl.render_tree`. And every rjs dataclass passes
+`slots=True`, so its instances carry no `__dict__`.
 """
 
 from __future__ import annotations
@@ -250,6 +253,74 @@ def test_each_caller_of_registry_declare_is_in_place():
         for scope, _ in declare_uses(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found == DECLARE_CALLERS
+
+
+# -- only the walk follows `.bases` -------------------------------------------------------
+
+#: a reference passed as a `bases=` argument is listed as `scope(bases=)`
+BASES_READERS = {
+    "walk_layout",
+    "TypeSpec.is_extension",
+    "_fold(bases=)",  # the descriptor build, never a walk of its own
+    "serialize_manifest",
+    "render_tree.emit",
+}
+
+
+def bases_reads(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of each reference to an attribute named `bases`."""
+    passed = {node.value for node in ast.walk(tree) if isinstance(node, ast.keyword) and node.arg == "bases"}
+    return [(f"{scope}(bases=)" if node in passed else scope, node.lineno) for scope, node in _scoped(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "bases"]
+
+
+def bases_violations(source: str, filename: str = "<source>") -> list[str]:
+    """`file:line` and scope of each reference to `.bases` outside its allowed readers."""
+    return [
+        f"{filename}:{line} {scope or '<module>'}"
+        for scope, line in bases_reads(ast.parse(source, filename))
+        if scope not in BASES_READERS
+    ]
+
+
+@pytest.mark.parametrize("source, count", [
+    ("names = desc.bases", 1),
+    ("def _fold(registry, t):\n    for base in t.bases:\n        registry.find_type(base)", 1),
+    ("def _fold(registry, t):\n    HostTypeDescriptor(bases=t.bases)\n    return t.bases[0]", 1),
+    ("class Registry:\n    def layout(self, name):\n        return self.find_type(name).bases", 1),
+    ("def walk_layout(desc, find):\n    def later():\n        return desc.bases", 1),
+    ("class Other:\n    @property\n    def is_extension(self):\n        return not self.bases", 1),
+    ("HostTypeDescriptor(bases=spec.bases)", 1),
+    ("def render_tree(registry):\n    return [d.bases for d in registry.entries.values()]", 1),
+])
+def test_the_bases_lint_sees_each_other_reader(source, count):
+    assert len(bases_violations(source)) == count
+
+
+@pytest.mark.parametrize("source", [
+    "def walk_layout(desc, find, known):\n    for base in desc.bases:\n        find(base)",
+    "def _fold(registry, t):\n    HostTypeDescriptor(qualified_name=t.qualified, bases=t.bases)",
+    "class TypeSpec:\n    @property\n    def is_extension(self):\n        return not self.bases",
+    "def serialize_manifest(ast):\n    return [{'bases': t.bases} for t in ast.types]",
+    "def render_tree(registry):\n    def emit(node, indent):\n        return desc.bases",
+    "bases = spec.base_names\nHostTypeDescriptor(bases=bases)",
+])
+def test_the_bases_lint_passes_its_readers_and_other_names(source):
+    assert bases_violations(source) == []
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_only_the_walk_follows_bases(path):
+    assert bases_violations(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_each_reader_of_bases_is_in_place():
+    found = {
+        scope
+        for path in ALL_SOURCES
+        for scope, _ in bases_reads(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == BASES_READERS
 
 
 # -- every rjs dataclass is slotted -----------------------------------------------------

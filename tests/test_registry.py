@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rjs.registry
 import support
 from rjs import CallTask, Dispatcher, Heap, Registry, i64
 from rjs.errors import (
@@ -215,6 +216,26 @@ def test_a_new_types_ancestors_are_walked_once(registry, heap, monkeypatch):
     assert list(heap.objects[heap.construct("U")].storage) == ["a0", "u"]
     assert registry.subtype_distance("U", "A0") == 10
     assert len(lookups) == walked  # first use reads the layout the merge kept
+
+
+def test_a_chain_merged_root_first_resolves_each_base_at_most_once(registry, heap, monkeypatch):
+    resolved: list[str] = []
+    walk = rjs.registry.walk_layout
+
+    def counting(desc, find, *known):
+        def counted(name):
+            resolved.append(name)
+            return find(name)
+        return walk(desc, counted, *known)
+
+    monkeypatch.setattr(rjs.registry, "walk_layout", counting)
+    chain = [{"name": "C0", "fields": [{"name": "c0", "kind": "i64"}]}]
+    chain += [{"name": f"C{i}", "bases": [f"C{i - 1}"]} for i in range(1, 30)]
+    merge(registry, parse_manifest(json.dumps({"types": chain})), heap)
+    assert len(resolved) <= 29  # a full walk per type resolves 0 + 1 + … + 29 = 435
+    assert [d.qualified_name for d in registry.base_chain("C29")] == [f"C{i}" for i in range(29, -1, -1)]
+    assert registry.subtype_distance("C29", "C0") == 29
+    assert registry.field_decl("C29", "c0") is registry.find_type("C0").fields[0]
 
 
 def test_merge_into_new_namespace_raises_no_not_found(registry, heap, monkeypatch):
