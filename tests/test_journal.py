@@ -6,7 +6,9 @@ from `get_member` and `set_member` until `refresh` shows it, and every
 earlier name must resolve to its category's marker or value. The
 memoised inheritance answers must agree with walks over the test's own
 record of what was declared, and the qualified-name index must agree
-with a walk of the namespace tree.
+with a walk of the namespace tree. Manifests that declare several types
+at once must give layouts equal to a full walk of each type, whether the
+merge walked them or composed them from a base declared earlier.
 """
 
 from __future__ import annotations
