@@ -147,13 +147,13 @@ class Heap:
         default-constructed: field initials only, and no arguments allowed.
         """
         args = args or []
-        layout = self.registry.layout(type_name)
-        if layout is None:
+        chain = self.registry.base_chain(type_name)
+        if not chain:
             raise UnknownType(f"unknown type {type_name!r}")
-        desc = layout.chain[0]
+        desc = chain[0]
         with self._lock:
             address = self._fresh_handle()
-            storage = {name: decl.initial for name, decl in layout.fields.items()}
+            storage = {decl.name: decl.initial for ancestor in reversed(chain) for decl in ancestor.fields}
             self.objects[address] = HostObject(address, type_name, storage)
             self.aliases[address] = address
         try:

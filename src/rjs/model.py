@@ -366,77 +366,95 @@ def join_path(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TypeLayout:
-    """Result of one walk up a type's inheritance graph.
+    """A type's place in the inheritance graph, built once, when the type is merged.
 
-    `chain` is the type followed by its ancestors, nearest first, each
-    shared ancestor once; `distance` maps the type and every ancestor
-    name to the fewest base steps that reach it; `fields` maps every
-    declared or inherited field name to its declaration, root base first.
+    The type is `path[depth]`, and `path[depth::-1]` is the type followed by
+    its ancestors, nearest first, each shared ancestor once. `fields` maps
+    each field name declared on `path` to the index there of the type that
+    declares it and its declaration. A type whose one base is the last
+    entry of the base's path extends that path and its `fields` in place,
+    so a chain declared root first shares one of each; entries past
+    `depth` are other types' and are never read through this layout.
+
+    While the type and every ancestor have at most one base, `distance` is
+    None and `path` is Cohen's display: the ancestor `k` levels below the
+    root is `path[k]`. Otherwise `distance` maps the type and every
+    ancestor name to the fewest base steps that reach it.
     """
 
-    chain: list[HostTypeDescriptor]
-    distance: dict[str, int]
-    fields: dict[str, FieldDecl]
+    path: list[HostTypeDescriptor]
+    depth: int
+    fields: dict[str, tuple[int, FieldDecl]]
+    distance: dict[str, int] | None
 
 
 def walk_layout(
     desc: HostTypeDescriptor,
-    find: Callable[[str], HostTypeDescriptor | None],
-    known: Mapping[str, TypeLayout] = MappingProxyType({}),
+    find: Callable[[str], TypeLayout | HostTypeDescriptor | None],
 ) -> TypeLayout:
-    """Walk `desc`'s bases breadth-first, resolving each name with `find`.
+    """Build `desc`'s layout, resolving each base name with `find`.
 
-    This is the only code that follows `HostTypeDescriptor.bases`. It
-    raises UnknownType for a base `find` cannot resolve, ValidationError
-    when the walk comes back to `desc`, and ConflictError when two types
-    in the chain declare the same field: `desc` and an ancestor, or two
-    ancestors on different paths.
+    This is the only code that follows `HostTypeDescriptor.bases`. `find`
+    gives a base's layout when one is built, else its descriptor (a type
+    later in the same manifest), else None. It raises UnknownType for a
+    base `find` cannot resolve, ValidationError when the walk comes back
+    to `desc`, and ConflictError when two types in the chain declare the
+    same field: `desc` and an ancestor, or two ancestors on different
+    paths.
 
-    `known` holds layouts already built (the merge's new types so far, in
-    manifest order). A type with one base whose layout `known` holds is
-    composed, not walked: breadth-first order from it is itself followed
-    by the base's order, so the result equals the walk's and only its own
-    fields are left to check.
+    A type with one base whose layout is built goes one level below it:
+    breadth-first order from it is itself followed by the base's order, so
+    only its own fields are left to check. Any other type is walked
+    breadth-first.
     """
     name = desc.qualified_name
-    chain = [desc]
-    distance = {name: 0}
-    base_layout = known.get(desc.bases[0]) if len(desc.bases) == 1 else None
-    if base_layout is not None:
-        chain += base_layout.chain
-        for ancestor, steps in base_layout.distance.items():
-            distance[ancestor] = steps + 1
-        fields = dict(base_layout.fields)
+    base = find(desc.bases[0]) if len(desc.bases) == 1 else None
+    if isinstance(base, TypeLayout):
+        depth = base.depth + 1
+        path, fields = base.path, base.fields
+        if len(path) > depth:  # another type already extends the base: copy the base's part
+            path = path[:depth]
+            fields = {field_name: entry for field_name, entry in fields.items() if entry[0] < depth}
+        distance = None if base.distance is None else {
+            name: 0, **{ancestor: steps + 1 for ancestor, steps in base.distance.items()}}
     else:
+        chain = [desc]
+        distance = {name: 0}
         for current in chain:  # the loop sees the ancestors appended below
             level = distance[current.qualified_name] + 1
-            for base in current.bases:
-                if base in distance:
-                    if base == name:
+            for base_name in current.bases:
+                if base_name in distance:
+                    if base_name == name:
                         raise ValidationError(f"type {name!r} has a cyclic base chain")
                     continue
-                found = find(base)
+                found = find(base_name)
                 if found is None:
-                    raise UnknownType(f"type {name!r}: unknown base {base!r}")
-                distance[base] = level
-                chain.append(found)
+                    raise UnknownType(f"type {name!r}: unknown base {base_name!r}")
+                distance[base_name] = level
+                chain.append(found.path[found.depth] if isinstance(found, TypeLayout) else found)
+        path = chain[:0:-1]  # root base first, `desc` appended below
+        depth = len(path)
         fields = {}
-        for ancestor in reversed(chain[1:]):  # root base first
+        for at, ancestor in enumerate(path):
             for decl in ancestor.fields:
                 if decl.name in fields:
-                    owner = next(a for a in reversed(chain) if decl.name in {f.name for f in a.fields})
                     raise ConflictError(
                         f"type {name!r}: field {decl.name!r} is declared by both"
-                        f" {owner.qualified_name!r} and {ancestor.qualified_name!r}"
+                        f" {path[fields[decl.name][0]].qualified_name!r} and {ancestor.qualified_name!r}"
                     )
-                fields[decl.name] = decl
+                fields[decl.name] = (at, decl)
+        if all(len(d.bases) <= 1 for d in chain):
+            distance = None
     for decl in desc.fields:
-        if decl.name in fields:
+        entry = fields.get(decl.name)
+        if entry is not None and entry[0] < depth:
             raise ConflictError(f"type {name!r}: field {decl.name!r} shadows a base field")
-        fields[decl.name] = decl
-    return TypeLayout(chain, distance, fields)
+    path.append(desc)  # past every stored layout's depth, so a later fault leaves nothing readable
+    for decl in desc.fields:
+        fields[decl.name] = (depth, decl)
+    return TypeLayout(path, depth, fields, distance)
 
 
 class Registry:
@@ -449,9 +467,13 @@ class Registry:
     0-based declaration number. `declare` is the only writer of both and
     of the nodes' child maps; names are never removed, so a bridge shows
     scripts the names numbered below its cursor and moves the cursor on
-    a refresh. It holds declarations only, never a heap's values. `engines`
-    holds each dispatcher on its heaps from its first asynchronous call to
-    its `shutdown`; no mutation while any has a call pending (quiescence).
+    a refresh. It holds declarations only, never a heap's values. `layouts`
+    maps every type to the layout the merge that declared it built; it is
+    kept for the registry's life, since a merged type's bases and fields
+    never change and an extension only changes `desc.methods`, which the
+    descriptors in a chain show. `engines` holds each dispatcher on its
+    heaps from its first asynchronous call to its `shutdown`; no mutation
+    while any has a call pending (quiescence).
     """
 
     def __init__(self) -> None:
@@ -460,8 +482,7 @@ class Registry:
         self.enums: dict[str, dict[str, int]] = {}
         self.version = 0
         self.order: dict[str, int] = {}
-        self._layouts: dict[str, TypeLayout] = {}
-        self._walked: dict[str, TypeLayout] = {}  # see `hand_over_layouts`
+        self.layouts: dict[str, TypeLayout] = {}
         self.engines: set = set()  # dispatchers; see `Dispatcher.submit`
         self.no_methods: Mapping[str, OverloadSet] = MappingProxyType({})
 
@@ -517,50 +538,30 @@ class Registry:
 
     # -- inheritance helpers ---------------------------------------------------
 
-    def layout(self, qualified_name: str) -> TypeLayout | None:
-        """The type's memoised layout, or None if no such type exists.
-
-        It is built on first use, by `walk_layout` or taken from the
-        layouts the latest merge built, and kept for the life of the
-        registry. That is exact, not merely per version: a merged
-        type's bases and fields never change, every base exists when its
-        type is merged, types are never removed or redeclared, and an
-        extension only changes `desc.methods`, which the descriptors in
-        `chain` show. A name that is not found is never
-        memoised. Worker threads reach this through `Heap.exec_body`; two
-        threads may both build a layout, but the values are equal and a
-        dict store is atomic under the GIL, so no lock is needed. The
-        layout is shared; callers must not modify it.
-        """
-        layout = self._layouts.get(qualified_name)
-        if layout is None:
-            layout = self._walked.pop(qualified_name, None)
-            if layout is None:
-                desc = self.find_type(qualified_name)
-                if desc is None:
-                    return None
-                layout = walk_layout(desc, self.find_type)
-            self._layouts[qualified_name] = layout
-        return layout
-
     def base_chain(self, qualified_name: str) -> list[HostTypeDescriptor]:
-        """The type itself followed by its ancestors, nearest first.
-
-        The list is the memoised one; callers must not modify it.
-        """
-        layout = self.layout(qualified_name)
-        return layout.chain if layout is not None else []
+        """The type itself followed by its ancestors, nearest first; empty if no such type."""
+        layout = self.layouts.get(qualified_name)
+        return layout.path[layout.depth :: -1] if layout is not None else []
 
     def subtype_distance(self, dynamic: str, target: str) -> int | None:
         """Fewest steps up the bases from `dynamic` to `target`, None if unrelated."""
-        layout = self.layout(dynamic)
+        layout = self.layouts.get(dynamic)
         if layout is None:
             return 0 if dynamic == target else None
-        return layout.distance.get(target)
+        if layout.distance is not None:
+            return layout.distance.get(target)
+        above = self.layouts.get(target)  # in a display, at its own depth on `dynamic`'s path
+        if above is None or above.depth > layout.depth:
+            return None
+        return layout.depth - above.depth if layout.path[above.depth] is above.path[above.depth] else None
 
     def field_decl(self, qualified_name: str, field_name: str) -> FieldDecl | None:
-        layout = self.layout(qualified_name)
-        return layout.fields.get(field_name) if layout is not None else None
+        layout = self.layouts.get(qualified_name)
+        if layout is not None:
+            entry = layout.fields.get(field_name)
+            if entry is not None and entry[0] <= layout.depth:
+                return entry[1]
+        return None
 
     def method_set(self, qualified_name: str, method_name: str) -> OverloadSet | None:
         """Nearest declaring type wins: a derived set hides a base set."""
@@ -588,20 +589,6 @@ class Registry:
         getattr(self.entries[parent], CHILD_MAPS[category])[name] = entry
         self.entries[qualified] = entry
         self.order[qualified] = len(self.order)
-
-    def hand_over_layouts(self, walked: dict[str, TypeLayout]) -> None:
-        """Keep the layouts a merge built for its new types until first use.
-
-        A type whose one base came earlier in the same manifest has its
-        layout composed from that base's (`walk_layout`'s `known`). `layout`
-        then takes a type's layout from here instead of walking its
-        ancestors a second time. Only the latest merge's layouts wait:
-        this call drops the previous merge's unused ones. A macro's types
-        are typically used at once, while a plugin declares many types a
-        session never touches, and memoising all of those would hold a
-        layout per declared type rather than per used one.
-        """
-        self._walked = walked
 
     def declare_global(self, qualified: str, kind: ValueKind, initial: HostValue) -> GlobalDecl:
         """Macro support: register a global without bumping the version."""

@@ -823,9 +823,6 @@ def eval_macro(registry: Registry, heap: Heap, text: str) -> MacroResult:
 def _fold(registry: Registry, ast: ManifestAST, heap: Heap | None) -> int:
     """The declaration half of merge and eval_macro in one pass: every check,
     then every write, then the version bump. A fault writes nothing."""
-    # the previous merge's unused layouts go before this one walks its own,
-    # so one merge's layouts at most are alive (a cache; nothing observable)
-    registry.hand_over_layouts({})
     for enum_name in ast.enums:
         if enum_name in registry.enums:
             raise ConflictError(f"enum {enum_name!r} already declared")
@@ -859,8 +856,9 @@ def _fold(registry: Registry, ast: ManifestAST, heap: Heap | None) -> int:
             continue
         if existing is not None:
             raise ConflictError(f"{t.qualified!r} already declared as a {category(existing)}")
-        for f in t.fields:
-            _check_enums(enums_overlay, f"{what} field {f.name}", (f.kind,))
+        if t.decls is None:  # set at parse time only when no field is enum-kinded
+            for f in t.fields:
+                _check_enums(enums_overlay, f"{what} field {f.name}", (f.kind,))
         for m in t.methods:
             _check_enums(enums_overlay, f"{what} method {m.name}", _kinds(m.signature))
         for c in t.ctors:
@@ -875,11 +873,12 @@ def _fold(registry: Registry, ast: ManifestAST, heap: Heap | None) -> int:
         new_types.append((t.name, desc))
 
     # the walk checks bases and field shadowing in manifest order, so a type whose one
-    # base came earlier composes its layout from the base's; they wait for first use
+    # base came earlier, or in an earlier merge, builds on the base's layout
     new_by_name = {desc.qualified_name: desc for _, desc in new_types}
     layouts: dict[str, TypeLayout] = {}
     for qualified, desc in new_by_name.items():
-        layouts[qualified] = walk_layout(desc, lambda n: new_by_name.get(n) or registry.find_type(n), layouts)
+        layouts[qualified] = walk_layout(
+            desc, lambda n: layouts.get(n) or registry.layouts.get(n) or new_by_name.get(n))
 
     # `parse_manifest` has rejected overloads that collide within the manifest
     for fn in ast.functions:
@@ -904,7 +903,7 @@ def _fold(registry: Registry, ast: ManifestAST, heap: Heap | None) -> int:
         registry.declare("namespace", path, name, NamespaceNode(name))
     for name, desc in new_types:
         registry.declare("type", desc.qualified_name, name, desc)
-    registry.hand_over_layouts(layouts)
+    registry.layouts.update(layouts)
     for desc, methods in extensions:
         desc.methods = _add_methods(dict(desc.methods), methods)
     for fn in ast.functions:

@@ -1,32 +1,30 @@
-"""Registry declaration order, the refresh snapshot and memoised type layouts.
+"""Registry declaration order, the refresh snapshot and kept type layouts.
 
 Random sequences of merges and macros are applied to one registry. After
 each step, every name declared since the last refresh must stay hidden
 from `get_member` and `set_member` until `refresh` shows it, and every
 earlier name must resolve to its category's marker or value. The
-memoised inheritance answers must agree with walks over the test's own
+inheritance answers must agree with walks over the test's own
 record of what was declared, and the qualified-name index must agree
 with a walk of the namespace tree. Manifests that declare several types
-at once must give layouts equal to a full walk of each type, whether the
-merge walked them or composed them from a base declared earlier.
+at once, in any order, must give the same answers and the same object
+storage, whether the merge walked a type or built on its base's layout.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pytest
-import rjs.registry
 import support
 from rjs import Bridge, Registry
 from rjs.bridge import FnRef, NsRef, TypeRef, refresh
 from rjs.errors import NotFound, ScriptNameError, ScriptTypeError
-from rjs.model import K_I64, FieldDecl, TypeLayout, i64
+from rjs.model import K_I64, FieldDecl, i64
 from rjs.registry import eval_macro, merge, parse_manifest
 
 METHOD_POOL = ("m0", "m1", "m2")
@@ -347,35 +345,32 @@ def test_incremental_mirror_and_layouts_track_random_sequences(data):
         world.bridge.shutdown()
 
 
-def assert_same_layout(built: TypeLayout, walked: TypeLayout) -> None:
-    """Chain identity and order, distances and fields, each in order."""
-    assert [id(d) for d in built.chain] == [id(d) for d in walked.chain]
-    assert list(built.distance.items()) == list(walked.distance.items())
-    assert list(built.fields.items()) == list(walked.fields.items())
+def check_storage(world: World) -> None:
+    """A new object of each type holds every field of its chain, root base first,
+    each type's own fields in declaration order, at its initial value."""
+    for dynamic in world.bases:
+        root_first = world.naive_chain(dynamic)[::-1]
+        expected = [(name, i64(initial)) for owner in root_first
+                    for name, (declared, initial) in world.fields.items() if declared == owner]
+        handle = world.heap.construct(dynamic)
+        assert list(world.heap.objects[handle].storage.items()) == expected
+        world.heap.destroy(handle)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_layouts_built_in_multi_type_merges_equal_full_walks_and_oracles(data):
+    """Whether a merge built a type's layout on its base's or walked it, every
+    answer agrees with the test's own record: distances, chains, methods and
+    field declarations (`check_layouts`) and storage order (`check_storage`)."""
     world = World()
-    built = []  # (descriptor, layout) of each layout the latest merge built
-    walk = rjs.registry.walk_layout
-
-    def recording(desc, find, known):
-        layout = walk(desc, find, known)
-        built.append((desc, layout))
-        return layout
-
     try:
-        with mock.patch.object(rjs.registry, "walk_layout", recording):
-            for _ in range(data.draw(st.integers(1, 8))):
-                step = data.draw(st.sampled_from((step_types, step_types, step_extension, step_namespace)))
-                manifest, _ = step(world, data)
-                apply(world, manifest, data.draw(st.booleans()))
-                for desc, layout in built:  # composed or walked, as a walk with no known layouts
-                    assert_same_layout(layout, walk(desc, world.registry.find_type))
-                built.clear()
-                check_layouts(world)
+        for _ in range(data.draw(st.integers(1, 8))):
+            step = data.draw(st.sampled_from((step_types, step_types, step_extension, step_namespace)))
+            manifest, _ = step(world, data)
+            apply(world, manifest, data.draw(st.booleans()))
+            check_layouts(world)
+            check_storage(world)
     finally:
         world.bridge.shutdown()
 

@@ -6,7 +6,9 @@ fails on any store into, or `del` of, an item of an attribute with one
 of those table names outside `heap.py`, and on a store of a global's
 value anywhere in `heap.py` but `Heap.write_global`. Reading is allowed
 anywhere. Likewise only an engine's lifecycle changes `Registry.engines`:
-`Dispatcher.submit` adds, `Dispatcher.shutdown` discards. `Registry.declare`,
+`Dispatcher.submit` adds, `Dispatcher.shutdown` discards. Only the merge
+(`registry._fold`) writes `Registry.layouts`, which `Registry.__init__`
+creates. `Registry.declare`,
 the one writer of names, is called only by the merge (`registry._fold`) and
 by `Registry.declare_global`. Only `model.walk_layout` follows a type's
 `.bases`; besides it the attribute is read by `TypeSpec.is_extension`, by the
@@ -112,8 +114,8 @@ ENGINES_ALLOWED = {
 ALL_SOURCES = sorted((REPO_ROOT / "src" / "rjs").glob("*.py"))
 
 
-def _is_engines(node: ast.AST) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "engines"
+def _is_attr(node: ast.AST, attr: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == attr
 
 
 def _scoped(tree: ast.AST, scope: str = "") -> Iterator[tuple[str, ast.AST]]:
@@ -127,18 +129,25 @@ def _scoped(tree: ast.AST, scope: str = "") -> Iterator[tuple[str, ast.AST]]:
         yield from _scoped(node, scope)
 
 
-def engines_changes(tree: ast.AST) -> list[tuple[str, str, int]]:
+def attribute_changes(tree: ast.AST, attr: str, mutators: set[str]) -> list[tuple[str, str, int]]:
     """(enclosing class.function, change, line) of each assignment to or `del` of an
-    attribute named `engines`, and of each mutating method referenced on one."""
+    attribute named `attr` or of an item of one, and of each of `mutators` referenced
+    on one."""
     found = []
     for scope, node in _scoped(tree):
         for target in _targets(node):
             for leaf in _unpacked(target):
-                if _is_engines(leaf):
-                    found.append((scope, "del" if isinstance(node, ast.Delete) else "=", leaf.lineno))
-        if isinstance(node, ast.Attribute) and node.attr in ENGINES_MUTATORS and _is_engines(node.value):
+                item = isinstance(leaf, ast.Subscript)
+                if _is_attr(leaf.value if item else leaf, attr):
+                    change = "del" if isinstance(node, ast.Delete) else "="
+                    found.append((scope, f"{change}[]" if item else change, leaf.lineno))
+        if isinstance(node, ast.Attribute) and node.attr in mutators and _is_attr(node.value, attr):
             found.append((scope, node.attr, node.lineno))
     return found
+
+
+def engines_changes(tree: ast.AST) -> list[tuple[str, str, int]]:
+    return attribute_changes(tree, "engines", ENGINES_MUTATORS)
 
 
 def engines_violations(source: str, filename: str = "<source>") -> list[str]:
@@ -195,6 +204,68 @@ def test_each_lifecycle_change_of_registry_engines_is_in_place():
         for scope, change, _ in engines_changes(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found == ENGINES_ALLOWED
+
+
+# -- only the merge writes `Registry.layouts` ---------------------------------------------
+
+LAYOUTS_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__", "__ior__"}
+LAYOUTS_WRITER = "_fold"
+LAYOUTS_CREATED = ("Registry.__init__", "=")
+
+
+def layouts_violations(source: str, filename: str = "<source>") -> list[str]:
+    """`file:line` and what of each change to `.layouts` outside the merge, but the
+    registry's creation of the dict."""
+    return [
+        f"{filename}:{line} {scope or '<module>'} {change}"
+        for scope, change, line in attribute_changes(ast.parse(source, filename), "layouts", LAYOUTS_MUTATORS)
+        if scope != LAYOUTS_WRITER and (scope, change) != LAYOUTS_CREATED
+    ]
+
+
+@pytest.mark.parametrize("source, count", [
+    ("registry.layouts['T'] = layout", 1),
+    ("def f(registry):\n    registry.layouts.update(built)\n    registry.layouts.setdefault(q, l)", 2),
+    ("def f(registry):\n    registry.layouts = {}", 1),
+    ("def f(registry):\n    registry.layouts |= built", 1),
+    ("def f(registry):\n    del registry.layouts[q]\n    registry.layouts.pop(q)", 2),
+    ("def f(registry):\n    a, registry.layouts[q] = 1, l", 1),
+    ("store = registry.layouts.__setitem__", 1),
+    ("class Registry:\n    def base_chain(self, q):\n        self.layouts[q] = walk_layout(d, f)", 1),
+    ("class Registry:\n    def __init__(self):\n        self.layouts[''] = None", 1),
+    ("def _fold(registry):\n    pass\ndef later(registry):\n    registry.layouts.clear()", 1),
+    ("class Heap:\n    def _fold(self):\n        self.registry.layouts.update(built)", 1),
+])
+def test_the_layouts_lint_sees_each_other_writer(source, count):
+    assert len(layouts_violations(source)) == count
+
+
+@pytest.mark.parametrize("source", [
+    "class Registry:\n    def __init__(self):\n        self.layouts: dict = {}",
+    "def _fold(registry, ast, heap):\n    registry.layouts.update(layouts)",
+    "def _fold(registry, ast, heap):\n    def find(n):\n        return registry.layouts.get(n)",
+    "layout = registry.layouts.get(name)",
+    "layouts = {}\nlayouts[q] = walk_layout(d, f)\nlayouts.update(more)",
+    "registry.layouts_seen = {}",
+    "path = layout.path[layout.depth :: -1]",
+])
+def test_the_layouts_lint_passes_reads_and_the_merge(source):
+    assert layouts_violations(source) == []
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_only_the_merge_writes_registry_layouts(path):
+    assert layouts_violations(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_the_merge_writes_registry_layouts():
+    found = {
+        (scope, change)
+        for path in ALL_SOURCES
+        for scope, change, _ in attribute_changes(
+            ast.parse(path.read_text(encoding="utf-8")), "layouts", LAYOUTS_MUTATORS)
+    }
+    assert found == {LAYOUTS_CREATED, (LAYOUTS_WRITER, "update")}
 
 
 # -- `Registry.declare` is called by the merge and by a macro's new global only ---------

@@ -198,7 +198,6 @@ def test_a_new_types_ancestors_are_walked_once(registry, heap, monkeypatch):
     chain = [{"name": "A0", "fields": [{"name": "a0", "kind": "i64"}]}]
     chain += [{"name": f"A{i}", "bases": [f"A{i - 1}"]} for i in range(1, 10)]
     merge(registry, parse_manifest(json.dumps({"types": chain})), heap)
-    registry.layout("A9")
     lookups: list[str] = []
     lookup = Registry.lookup
 
@@ -212,7 +211,7 @@ def test_a_new_types_ancestors_are_walked_once(registry, heap, monkeypatch):
         "statements": [{"op": "ret", "value": {"op": "const", "value": 1}}],
     }))
     walked = len(lookups)
-    assert sorted(lookups) == sorted(f"A{i}" for i in range(10))  # each ancestor once
+    assert lookups == []  # the new type builds on A9's kept layout
     assert list(heap.objects[heap.construct("U")].storage) == ["a0", "u"]
     assert registry.subtype_distance("U", "A0") == 10
     assert len(lookups) == walked  # first use reads the layout the merge kept
@@ -236,6 +235,100 @@ def test_a_chain_merged_root_first_resolves_each_base_at_most_once(registry, hea
     assert [d.qualified_name for d in registry.base_chain("C29")] == [f"C{i}" for i in range(29, -1, -1)]
     assert registry.subtype_distance("C29", "C0") == 29
     assert registry.field_decl("C29", "c0") is registry.find_type("C0").fields[0]
+
+
+def _chain(names: list[str], namespace: str = "") -> list[dict]:
+    """Types each with one field, every one after the first based on the one before."""
+    def qualified(name: str) -> str:
+        return f"{namespace}.{name}" if namespace else name
+    return [{"name": name, "namespace": namespace, "fields": [{"name": f"f_{name}", "kind": "i64"}],
+             **({"bases": [qualified(names[i - 1])]} if i else {})} for i, name in enumerate(names)]
+
+
+def test_unrelated_chains_with_the_same_depth_gap_are_unrelated(registry, heap):
+    names = ["A0", "A1", "A2"]
+    merge(registry, parse_manifest(json.dumps({"types": _chain(names, "N") + _chain(names, "M")})), heap)
+    merge(registry, parse_manifest(json.dumps({"types": _chain(["X0", "X1", "X2"])})), heap)
+    assert registry.subtype_distance("N.A2", "N.A0") == 2
+    assert registry.subtype_distance("N.A2", "M.A0") is None  # same names, same depths, other chain
+    assert registry.subtype_distance("M.A1", "N.A0") is None
+    assert registry.subtype_distance("X2", "N.A0") is None
+    assert registry.subtype_distance("X1", "M.A0") is None
+
+
+def test_a_deeper_or_unknown_target_is_unrelated(registry, heap):
+    merge(registry, parse_manifest(json.dumps({"namespaces": ["Ns"], "types": _chain(["B0", "B1", "B2"])})), heap)
+    assert registry.subtype_distance("B1", "B2") is None
+    assert registry.subtype_distance("B0", "B1") is None
+    assert registry.subtype_distance("B1", "Nope") is None
+    assert registry.subtype_distance("B1", "Ns") is None
+    assert registry.subtype_distance("B1", "B1") == 0
+    assert registry.subtype_distance("Nope", "Nope") == 0
+
+
+def test_a_single_base_type_below_a_multi_base_type_uses_distances(registry, heap):
+    merge(registry, parse_manifest(json.dumps({"types": [
+        {"name": "D"}, {"name": "B", "bases": ["D"]}, {"name": "C", "bases": ["D"]},
+        {"name": "T", "bases": ["B", "C"]}, {"name": "U", "bases": ["T"]},
+    ]})), heap)
+    merge(registry, parse_manifest(json.dumps({"types": [{"name": "V", "bases": ["T"]}]})), heap)
+    layouts = registry.layouts
+    assert layouts["B"].distance is None
+    assert layouts["T"].distance == {"T": 0, "B": 1, "C": 1, "D": 2}
+    assert layouts["U"].distance == {"U": 0, "T": 1, "B": 2, "C": 2, "D": 3}
+    assert layouts["V"].distance == {"V": 0, "T": 1, "B": 2, "C": 2, "D": 3}
+    assert [d.qualified_name for d in registry.base_chain("V")] == ["V", "T", "B", "C", "D"]
+    assert registry.subtype_distance("U", "V") is None
+    assert registry.subtype_distance("V", "C") == 2
+
+
+def _answers(registry: Registry, heap: Heap, names: list[str]) -> list:
+    """Every inheritance answer about `names`, and the storage of a new object of each."""
+    return [
+        ([d.qualified_name for d in registry.base_chain(dynamic)],
+         registry.layouts[dynamic].distance,
+         [registry.subtype_distance(dynamic, target) for target in names],
+         [registry.field_decl(dynamic, f"f_{name}") for name in names],
+         list(heap.objects[heap.construct(dynamic)].storage.items()))
+        for dynamic in names
+    ]
+
+
+def test_a_chain_declared_derived_first_gets_the_same_layouts_as_root_first(registry, heap):
+    names = [f"C{i}" for i in range(6)]
+    merge(registry, parse_manifest(json.dumps({"types": _chain(names)})), heap)
+    other = Registry()
+    other_heap = Heap(other)
+    merge(other, parse_manifest(json.dumps({"types": _chain(names)[::-1]})), other_heap)
+    branch = json.dumps({"types": [{"name": "K", "bases": ["C2"], "fields": [{"name": "f_K", "kind": "i64"}]}]})
+    for target, target_heap in ((registry, heap), (other, other_heap)):
+        merge(target, parse_manifest(branch), target_heap)
+    expected = _answers(registry, heap, [*names, "K"])
+    assert _answers(other, other_heap, [*names, "K"]) == expected
+    assert expected[5][0] == names[::-1] and expected[5][1] is None  # a display: no distance map
+    assert expected[6][2] == [3, 2, 1, None, None, None, 0]
+
+
+def test_every_type_has_a_layout_after_its_merge_and_a_failed_merge_stores_none(registry, heap):
+    merge(registry, parse_manifest(json.dumps({"types": _chain(["A0", "A1"]), "globals": [
+        {"name": "g", "kind": "i64", "initial": 1}]})), heap)
+    assert set(registry.layouts) == {"A0", "A1"}
+    assert all(registry.layouts[n].path[registry.layouts[n].depth] is registry.find_type(n) for n in ("A0", "A1"))
+    kept = dict(registry.layouts)
+    failing = {"types": [{"name": "X", "bases": ["A1"], "fields": [{"name": "x", "kind": "i64"}]},
+                         {"name": "Y", "bases": ["X"]}],
+               "globals": [{"name": "g", "kind": "i64", "initial": 2}]}
+    with pytest.raises(ConflictError, match="'g' already declared"):
+        merge(registry, parse_manifest(json.dumps(failing)), heap)
+    assert registry.layouts == kept
+    # a later sibling of the failed X reads nothing the failed merge built
+    merge(registry, parse_manifest(json.dumps({"types": [
+        {"name": "Z", "bases": ["A1"], "fields": [{"name": "x", "kind": "f64"}]}]})), heap)
+    assert set(registry.layouts) == {"A0", "A1", "Z"}
+    assert registry.field_decl("Z", "x") is registry.find_type("Z").fields[0]
+    assert [d.qualified_name for d in registry.base_chain("Z")] == ["Z", "A1", "A0"]
+    assert registry.subtype_distance("Z", "A0") == 2
+    assert list(heap.objects[heap.construct("Z")].storage) == ["f_A0", "f_A1", "x"]
 
 
 def test_merge_into_new_namespace_raises_no_not_found(registry, heap, monkeypatch):
