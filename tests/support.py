@@ -695,3 +695,90 @@ def random_manifest_texts(seed: int, count: int) -> list[str]:
             container[key] = _faulted(node, {k: rng.choice(PIN_FAULTS) for k in keys})
         texts.append(json.dumps(box[0]))
     return texts
+
+
+# ---------------------------------------------------------------------------
+# script front-end pin: deterministic sources, accepted and faulty
+# ---------------------------------------------------------------------------
+#
+# `tests/golden/script_outcomes.json` records what parsing each of these
+# sources gives. They are grammar-built programs, about two in three then
+# mutated a character at a time, so that every lexer and parser message
+# fires. Nesting stays a few levels deep, so no outcome depends on the
+# stack. Only `random.Random(seed)` draws them, so they are the same on
+# every run and every Python version.
+
+_SCRIPT_NAMES = ("a", "b", "acc", "root", "print", "x_1", "é", "A٣", "_t")
+_SCRIPT_NUMBERS = ("0", "7", "42", "3.5", "0.25", "1e3", "2E-2", "6.5e+1", "٣", "٣.5")
+_SCRIPT_STRINGS = ('""', '"s"', '"hist 0"', '"a\\nb"', '"q\\"t"', '"\\\\"', '"tab\\t\\r"', '"é"')
+_SCRIPT_BLANKS = (" ", " ", " ", "", "  ", "\t", " // note\n", "\n", "\r\n", " // \"x\\\n  ")
+#: what a mutation inserts or writes over a character: every character class the lexer tells apart
+_SCRIPT_NOISE = (*".,;(){}=+-*/%", '"', "\\", "e", "E", "1", "x", " ", "\n", "\t", "#", "²", "½", "٣",
+                 "é", "/", "let", "fn", "true", "null", "\\q", '"\\', "1e", "1e+", "//")
+
+
+def _script_expr(rng: random.Random, depth: int) -> str:
+    roll = rng.randrange(11 if depth < 3 else 5)
+    if roll == 0:
+        return rng.choice(_SCRIPT_NUMBERS)
+    if roll == 1:
+        return rng.choice(_SCRIPT_STRINGS)
+    if roll == 2:
+        return rng.choice(("true", "false", "null"))
+    if roll in (3, 4):
+        return rng.choice(_SCRIPT_NAMES)
+    blank = rng.choice(_SCRIPT_BLANKS)
+    if roll == 5:
+        return f"{_script_expr(rng, depth + 1)}.{rng.choice(_SCRIPT_NAMES)}"
+    if roll == 6:
+        args = [_script_expr(rng, depth + 1) for _ in range(rng.randrange(3))]
+        return f"{_script_expr(rng, depth + 1)}({(',' + blank).join(args)})"
+    if roll in (7, 8):
+        op = rng.choice("+-*/%")
+        return f"{_script_expr(rng, depth + 1)}{blank}{op}{blank}{_script_expr(rng, depth + 1)}"
+    if roll == 9:
+        return f"({_script_expr(rng, depth + 1)})"
+    params = [rng.choice(_SCRIPT_NAMES) for _ in range(rng.randrange(3))]  # a repeat is a fault
+    body = blank.join(_script_statement(rng, depth + 1) for _ in range(rng.randrange(3)))
+    return f"fn({', '.join(params)}){blank}{{{blank}{body}{blank}}}"
+
+
+def _script_statement(rng: random.Random, depth: int) -> str:
+    roll = rng.randrange(3)
+    value = _script_expr(rng, depth)
+    if roll == 0:
+        return f"let {rng.choice(_SCRIPT_NAMES)} = {value};"
+    if roll == 1:
+        target = rng.choice(_SCRIPT_NAMES)
+        if rng.random() < 0.5:
+            target = f"{_script_expr(rng, depth + 1)}.{target}"
+        return f"{target} = {value};"
+    return f"{value};"
+
+
+def _mutated(rng: random.Random, source: str) -> str:
+    """`source` with one to three characters deleted, inserted, written over or cut off."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(source) + 1)
+        roll = rng.randrange(4)
+        if roll == 0:
+            source = source[:at] + source[at + 1:]
+        elif roll == 1:
+            source = source[:at] + rng.choice(_SCRIPT_NOISE) + source[at:]
+        elif roll == 2:
+            source = source[:at] + rng.choice(_SCRIPT_NOISE) + source[at + 1:]
+        else:
+            source = source[:at]
+    return source
+
+
+def random_script_sources(seed: int, count: int) -> list[str]:
+    """Seeded script sources; about two in three carry character-level faults."""
+    rng = random.Random(seed)
+    sources = []
+    for _ in range(count):
+        blanks = [rng.choice(_SCRIPT_BLANKS) for _ in range(3)]
+        source = blanks[0] + blanks[1].join(_script_statement(rng, 0) for _ in range(rng.randint(1, 3)))
+        source += blanks[2]
+        sources.append(_mutated(rng, source) if rng.random() < 0.65 else source)
+    return sources
