@@ -147,13 +147,15 @@ class Heap:
         default-constructed: field initials only, and no arguments allowed.
         """
         args = args or []
-        chain = self.registry.base_chain(type_name)
-        if not chain:
+        layout = self.registry.layouts.get(type_name)
+        if layout is None:
             raise UnknownType(f"unknown type {type_name!r}")
-        desc = chain[0]
+        depth = layout.depth
+        desc = layout.path[depth]
         with self._lock:
             address = self._fresh_handle()
-            storage = {decl.name: decl.initial for ancestor in reversed(chain) for decl in ancestor.fields}
+            # root first; entries past `depth` belong to types that extend this one
+            storage = {name: decl.initial for name, (at, decl) in layout.fields.items() if at <= depth}
             self.objects[address] = HostObject(address, type_name, storage)
             self.aliases[address] = address
         try:

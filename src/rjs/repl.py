@@ -10,7 +10,7 @@ from .bridge import Bridge, weak_method
 from .dispatcher import report_fault
 from .errors import RjsError
 from .model import Registry, kind_str, sig_str
-from .script import Environment, Interpreter, SExprStmt, parse, render_value
+from .script import Environment, Interpreter, SExprStmt, parse, render_value, tokenize
 
 META_COMMANDS = (".pump", ".tree", ".quit")
 
@@ -61,6 +61,15 @@ def render_tree(registry: Registry) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _terminated(line: str) -> str:
+    """`line` with the `;` the grammar wants at its end; behind a trailing
+    comment, which would swallow it, the `;` goes on a line of its own."""
+    if line.endswith(";"):
+        return line
+    kinds = tokenize(line + ";").kinds
+    return line + ";" if len(kinds) == 1 or kinds[-2] == ";" else line + "\n;"
+
+
 class ReplSession:
     """Persistent environment over one bridge; one `step` per input line."""
 
@@ -109,8 +118,7 @@ class ReplSession:
             buffer.write(f"unknown command {line!r} (try {', '.join(META_COMMANDS)})\n")
             return
         try:
-            # every statement ends with ';' in the grammar; be lenient at the prompt
-            program = parse(line if line.endswith(";") else line + ";")
+            program = parse(_terminated(line))
             result = self.interp.run(program, self.env)
             bare = bool(program) and isinstance(program[-1], SExprStmt)
             if bare and result is not None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, TextIO
 
@@ -35,6 +36,36 @@ class Token(NamedTuple):
     col: int
 
 
+#: a token's `type` by its kind, for the kinds that are their own text
+_TYPES = {**dict.fromkeys(".,;(){}=+-*/%", "punct"), **dict.fromkeys(KEYWORDS, "kw")}
+
+
+class Tokens(Sequence):
+    """`tokenize`'s result: a read-only sequence over five flat lists, one
+    entry per token in each (struct of arrays, as in Zig's `std.zig.Ast`).
+
+    `kinds[i]` is a punctuation or keyword token's own text, so one
+    comparison tests kind and text; any other kind is `num`, `str`,
+    `ident` or `eof`. `texts`, `values`, `lines` and `cols` hold what the
+    `Token` fields of the same name hold. Indexing or iterating builds the
+    `Token` of an entry on demand; no object is kept per token.
+    """
+
+    __slots__ = ("kinds", "texts", "values", "lines", "cols")
+
+    def __init__(self, kinds: list[str], texts: list[str], values: list[Any], lines: list[int],
+                 cols: list[int]):
+        self.kinds, self.texts, self.values, self.lines, self.cols = kinds, texts, values, lines, cols
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index: int) -> Token:
+        kind = self.kinds[index]
+        return Token(_TYPES.get(kind, kind), self.texts[index], self.values[index], self.lines[index],
+                     self.cols[index])
+
+
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)")
 _STRING_BODY = re.compile(r'(?:[^"\\\n]|\\[ntr"\\])*')
@@ -50,39 +81,56 @@ _TOKEN = re.compile(
     r"|(?P<end>\Z)|(?P<bad>.))")
 
 
-def tokenize(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__
+def tokenize(src: str) -> Tokens:
+    """Scan `src` into flat token lists; the last entry is the `eof` token.
+
+    One `finditer` loop over `_TOKEN` appends each token's kind, text,
+    value, line and col (where it starts, both from 1) to five lists, so
+    the scan builds no object per token; `Tokens` is the read-only view
+    returned over them. The first malformed token raises LexError at its
+    position.
+    """
+    kinds, texts, values, lines, cols = [], [], [], [], []
     line, line_start = 1, 0
     for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        text = m[kind]
-        if kind == "punct":
-            append(new(Token, ("punct", text, text, line, m.end() - line_start)))
-            continue
-        col = m.start(kind) - line_start + 1
-        if kind == "ident" and (text[0].isalpha() or text[0] == "_"):
-            append(new(Token, ("kw" if text in KEYWORDS else "ident", text, text, line, col)))
-        elif kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "num":
-            if text[-1] in "eE+-":
-                raise LexError("malformed exponent", line, col)
-            append(new(Token, ("num", text, float(text), line, col)))
-        elif kind == "str":
-            body = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
-            append(new(Token, ("str", body, body, line, col)))
-        elif kind == "end":
-            break
-        elif text == '"':  # the first bad escape before the line ends wins
-            end = _STRING_BODY.match(src, m.end()).end()
-            if src.startswith("\\", end) and end + 1 < len(src):
-                raise LexError(f"unknown escape \\{src[end + 1]}", line, end + 2 - line_start)
-            raise LexError("unterminated string", line, col)
-        else:  # includes a non-letter that `\w` accepts as a word start, such as ²
-            raise LexError(f"unexpected character {text[0]!r}", line, col)
-    append(new(Token, ("eof", "", None, line, len(src) - line_start + 1)))
-    return tokens
+        group = m.lastgroup
+        text = value = m[group]
+        if group == "punct":
+            kind, col = text, m.end() - line_start
+        else:
+            col = m.start(group) - line_start + 1
+            if group == "ident" and (text[0].isalpha() or text[0] == "_"):
+                kind = text if text in KEYWORDS else "ident"
+            elif group == "newline":
+                line, line_start = line + 1, m.end()
+                continue
+            elif group == "num":
+                if text[-1] in "eE+-":
+                    raise LexError("malformed exponent", line, col)
+                kind, value = "num", float(text)
+            elif group == "str":
+                kind, text = "str", text[1:-1]
+                value = text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text) if "\\" in text else text
+            elif group == "end":
+                break
+            elif text == '"':  # the first bad escape before the line ends wins
+                end = _STRING_BODY.match(src, m.end()).end()
+                if src.startswith("\\", end) and end + 1 < len(src):
+                    raise LexError(f"unknown escape \\{src[end + 1]}", line, end + 2 - line_start)
+                raise LexError("unterminated string", line, col)
+            else:  # includes a non-letter that `\w` accepts as a word start, such as ²
+                raise LexError(f"unexpected character {text[0]!r}", line, col)
+        kinds.append(kind)
+        texts.append(text)
+        values.append(value)
+        lines.append(line)
+        cols.append(col)
+    kinds.append("eof")
+    texts.append("")
+    values.append(None)
+    lines.append(line)
+    cols.append(len(src) - line_start + 1)
+    return Tokens(kinds, texts, values, lines, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -178,140 +226,142 @@ _BINARY = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
 
 
 class Parser:
-    """Precedence climbing (Pratt) over the token list.
+    """Precedence climbing (Pratt) over `tokenize`'s lists, read by index.
 
-    Token fields are read by index: 0 type, 1 text, 2 value, 3 line, 4 col.
-    The cursor never moves past the final `eof` token.
+    Each step compares the current entry's kind in place; a `pos` tuple is
+    built only for a node. The cursor `_pos` never moves past the final
+    `eof` entry, and an error is raised at the entry it names.
     """
 
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    def __init__(self, tokens: Tokens):
+        self._kinds, self._texts, self._values = tokens.kinds, tokens.texts, tokens.values
+        self._lines, self._cols = tokens.lines, tokens.cols
         self._pos = 0
 
     def _fail(self, message: str) -> ParseError:
-        """An error at the current token."""
-        tok = self._tokens[self._pos]
-        return ParseError(message, tok[3], tok[4])
+        """An error at the cursor's entry."""
+        return ParseError(message, self._lines[self._pos], self._cols[self._pos])
 
-    def _expect(self, type_: str, text: str | None = None) -> Token:
-        tok = self._tokens[self._pos]
-        if tok[0] != type_ or (text is not None and tok[1] != text):
-            raise self._fail(f"expected {text or type_!r}, found {tok[1] or tok[0]!r}")
-        self._pos += 1
-        return tok
+    def _expected(self, kind: str) -> ParseError:
+        """The cursor's entry is not of `kind`."""
+        found = self._texts[self._pos] or self._kinds[self._pos]
+        return self._fail(f"expected {kind!r}, found {found!r}")
 
-    def _at_punct(self, text: str) -> bool:
-        tok = self._tokens[self._pos]
-        return tok[1] == text and tok[0] == "punct"
+    def _take(self, kind: str) -> str:
+        """Move past the cursor's entry, which must be of `kind`, and give its
+        text; the hot paths compare in place instead."""
+        at = self._pos
+        if self._kinds[at] != kind:
+            raise self._expected(kind)
+        self._pos = at + 1
+        return self._texts[at]
 
     def parse_program(self) -> tuple[SStmt, ...]:
-        tokens = self._tokens
+        kinds = self._kinds
         statements: list[SStmt] = []
-        while tokens[self._pos][0] != "eof":
+        while kinds[self._pos] != "eof":
             statements.append(self.parse_statement())
         return tuple(statements)
 
     def parse_statement(self) -> SStmt:
-        tok = self._tokens[self._pos]
-        pos = (tok[3], tok[4])
-        if tok[1] == "let" and tok[0] == "kw":
-            self._pos += 1
-            name = self._expect("ident")[1]
-            self._expect("punct", "=")
-            value = self.parse_expr()
-            self._expect("punct", ";")
-            return SLet(name, value, pos)
-        expr = self.parse_expr()
-        if self._at_punct("="):
-            if not isinstance(expr, (SIdent, SMember)):
-                raise self._fail("only names and members can be assigned")
-            self._pos += 1
-            value = self.parse_expr()
-            self._expect("punct", ";")
-            return SAssign(expr, value, pos)
-        self._expect("punct", ";")
-        return SExprStmt(expr, pos)
+        kinds, at = self._kinds, self._pos
+        pos = (self._lines[at], self._cols[at])
+        if kinds[at] == "let":
+            self._pos = at + 1
+            name = self._take("ident")
+            self._take("=")
+            stmt = SLet(name, self.parse_expr(), pos)
+        else:
+            expr = self.parse_expr()
+            if kinds[self._pos] == "=":
+                if not isinstance(expr, (SIdent, SMember)):
+                    raise self._fail("only names and members can be assigned")
+                self._pos += 1
+                stmt = SAssign(expr, self.parse_expr(), pos)
+            else:
+                stmt = SExprStmt(expr, pos)
+        if kinds[self._pos] != ";":
+            raise self._expected(";")
+        self._pos += 1
+        return stmt
 
     def parse_expr(self, min_power: int = 1) -> SExpr:
         """An operand, its postfix `.name` and `(args)`, then binary operators
         binding at least `min_power`; a right operand binds one level tighter,
         so equal operators group to the left."""
-        tokens = self._tokens
-        tok = tokens[self._pos]
-        kind = tok[0]
+        kinds, lines, cols = self._kinds, self._lines, self._cols
+        at = self._pos
+        kind = kinds[at]
+        self._pos = at + 1
         if kind == "ident":
-            self._pos += 1
-            expr = SIdent(tok[1], (tok[3], tok[4]))
-        elif kind == "num":
-            self._pos += 1
-            expr = SNum(tok[2], (tok[3], tok[4]))
-        elif kind == "str":
-            self._pos += 1
-            expr = SStr(tok[2], (tok[3], tok[4]))
-        elif kind == "kw":
-            text = tok[1]
-            if text == "fn":
-                expr = self._function()
-            elif text == "true" or text == "false":
-                self._pos += 1
-                expr = SBool(text == "true", (tok[3], tok[4]))
-            elif text == "null":
-                self._pos += 1
-                expr = SNull((tok[3], tok[4]))
-            else:
-                raise self._fail(f"unexpected keyword {text!r}")
-        elif tok[1] == "(" and kind == "punct":
-            self._pos += 1
+            expr = SIdent(self._texts[at], (lines[at], cols[at]))
+        elif kind == "num" or kind == "str":
+            expr = (SNum if kind == "num" else SStr)(self._values[at], (lines[at], cols[at]))
+        elif kind == "(":
             expr = self.parse_expr()
-            self._expect("punct", ")")
+            if kinds[self._pos] != ")":
+                raise self._expected(")")
+            self._pos += 1
+        elif kind == "fn":
+            expr = self._function((lines[at], cols[at]))
+        elif kind == "true" or kind == "false":
+            expr = SBool(kind == "true", (lines[at], cols[at]))
+        elif kind == "null":
+            expr = SNull((lines[at], cols[at]))
         else:
-            raise self._fail(f"unexpected token {tok[1] or kind!r}")
+            self._pos = at
+            if kind in KEYWORDS:
+                raise self._fail(f"unexpected keyword {kind!r}")
+            raise self._fail(f"unexpected token {self._texts[at] or kind!r}")
         while True:
-            tok = tokens[self._pos]
-            if tok[0] != "punct":
-                return expr
-            text = tok[1]
-            if text == "(":
-                self._pos += 1
+            at = self._pos
+            kind = kinds[at]
+            if kind == "(":
+                self._pos = at + 1
                 args: list[SExpr] = []
-                if not self._at_punct(")"):
+                if kinds[at + 1] != ")":
                     args.append(self.parse_expr())
-                    while self._at_punct(","):
+                    while kinds[self._pos] == ",":
                         self._pos += 1
                         args.append(self.parse_expr())
-                self._expect("punct", ")")
-                expr = SCall(expr, tuple(args), (tok[3], tok[4]))
-            elif text == ".":
+                    if kinds[self._pos] != ")":
+                        raise self._expected(")")
                 self._pos += 1
-                name = self._expect("ident")
-                expr = SMember(expr, name[1], (name[3], name[4]))
+                expr = SCall(expr, tuple(args), (lines[at], cols[at]))
+            elif kind == ".":
+                self._pos = at + 1
+                if kinds[at + 1] != "ident":
+                    raise self._expected("ident")
+                self._pos = at + 2
+                expr = SMember(expr, self._texts[at + 1], (lines[at + 1], cols[at + 1]))
             else:
-                power = _BINARY.get(text, 0)
+                power = _BINARY.get(kind, 0)  # 0 for every kind but a binary operator's
                 if power < min_power:
                     return expr
-                self._pos += 1
-                expr = SBin(text, expr, self.parse_expr(power + 1), (tok[3], tok[4]))
+                self._pos = at + 1
+                expr = SBin(kind, expr, self.parse_expr(power + 1), (lines[at], cols[at]))
 
-    def _function(self) -> SFn:
-        fn_tok = self._expect("kw", "fn")
-        self._expect("punct", "(")
+    def _function(self, pos: tuple[int, int]) -> SFn:
+        """The literal whose `fn` is at `pos`, from the entry after it."""
+        kinds = self._kinds
+        self._take("(")
         params: list[str] = []
-        if self._tokens[self._pos][0] == "ident":
-            params.append(self._expect("ident")[1])
-            while self._at_punct(","):
+        if kinds[self._pos] == "ident":
+            params.append(self._take("ident"))
+            while kinds[self._pos] == ",":
                 self._pos += 1
-                params.append(self._expect("ident")[1])
-        self._expect("punct", ")")
-        self._expect("punct", "{")
+                params.append(self._take("ident"))
+        self._take(")")
+        self._take("{")
         body: list[SStmt] = []
-        while not self._at_punct("}"):
-            if self._tokens[self._pos][0] == "eof":
+        while kinds[self._pos] != "}":
+            if kinds[self._pos] == "eof":
                 raise self._fail("unterminated function body")
             body.append(self.parse_statement())
         self._pos += 1
         if len(set(params)) != len(params):
-            raise ParseError("duplicate parameter name", fn_tok[3], fn_tok[4])
-        return SFn(tuple(params), tuple(body), (fn_tok[3], fn_tok[4]))
+            raise ParseError("duplicate parameter name", *pos)
+        return SFn(tuple(params), tuple(body), pos)
 
 
 def parse(src: str) -> tuple[SStmt, ...]:

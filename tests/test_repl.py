@@ -43,6 +43,23 @@ def test_errors_render_and_session_survives(session):
     assert "ParseError" in text
 
 
+def test_a_trailing_comment_does_not_swallow_the_added_semicolon(session):
+    repl, _ = session
+    assert repl.step("print(1 + 2) // sum") == "3\n"
+    assert repl.step("let x = 2 // two; still a comment") == ""
+    assert repl.step("x * 3 // six") == "6\n"
+    assert repl.step("x; // a statement ends here") == "2\n"
+    assert repl.step("// only a comment") == ""
+    assert repl.step('print("a // b")') == "a // b\n"
+
+
+def test_error_positions_of_lines_without_comments_are_the_added_semicolons(session):
+    repl, _ = session
+    assert repl.step("let x =") == "error: ParseError: 1:8: unexpected token ';'\n"
+    assert repl.step("(1") == "error: ParseError: 1:3: expected ')', found ';'\n"
+    assert repl.step('x = "a\\') == "error: LexError: 1:8: unknown escape \\;\n"
+
+
 def test_runaway_recursion_renders_and_session_survives(session, bridge, sample_plugin):
     repl, _ = session
     merge(bridge.registry, parse_manifest(json.dumps({"types": [{

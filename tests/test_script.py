@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import json
 import time
@@ -144,6 +145,29 @@ def test_lex_positions():
     assert (tokens[0].line, tokens[0].col) == (1, 1)
     second_let = [t for t in tokens if t.text == "y"][0]
     assert second_let.line == 2
+
+
+def test_tokenize_builds_no_object_per_token():
+    """With the collector off, generation 0's count grows by each GC-tracked
+    object made and still alive: four times the tokens may add only the
+    few objects that do not depend on the length."""
+    source = 'let h = root.TH1D("h", "a\\tb"); // note\nh.Fill(1.5e2, 2) + -x;\n'
+
+    def tracked_objects_made(src: str) -> tuple[int, int]:
+        before = gc.get_count()[0]
+        tokens = tokenize(src)
+        return gc.get_count()[0] - before, len(tokens)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        once, count = tracked_objects_made(source)
+        four_times, count_four = tracked_objects_made(source * 4)
+    finally:
+        if enabled:
+            gc.enable()
+    assert count_four == 4 * count - 3  # one eof
+    assert four_times - once <= 4, (once, four_times)
 
 
 def test_parse_error_position():
