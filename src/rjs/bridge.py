@@ -63,24 +63,24 @@ MAX_SAFE_INTEGER = 2**53
 # script-side value markers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NsRef:
     """Reference to a namespace by path; resolved against the names scripts see."""
 
     path: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TypeRef:
     qualified: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FnRef:
     path: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Proxy:
     """Script-side stand-in for one host object: identity, no data copies."""
 
@@ -91,7 +91,7 @@ class Proxy:
         return f"<{self.type_name} @{self.canonical:#x}>"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MethodRef:
     """A method looked up on a proxy (bound) or on a type (static access)."""
 
@@ -185,7 +185,7 @@ class ProxyFactory:
 # invocation result
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Invocation:
     """Either an immediate value (call_id None) or a pending call id."""
 
@@ -197,7 +197,7 @@ class Invocation:
         return self.call_id is not None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResolvedCall:
     index: int
     signature: MethodSignature
@@ -547,7 +547,7 @@ class Bridge:
         self.dispatcher.shutdown()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoundBuiltin:
     """Host-provided callable exposed to script (root.loadlibrary and friends)."""
 

@@ -18,7 +18,7 @@ from typing import TextIO
 from .bridge import Bridge
 from .errors import RjsError
 from .repl import ReplSession, render_tree
-from .script import Interpreter, parse
+from .script import Environment, Interpreter, parse
 
 DEFAULT_DRAIN_TIMEOUT_MS = 30_000
 
@@ -43,6 +43,8 @@ def cmd_run(
     out = out if out is not None else sys.stdout
     diag = diag if diag is not None else sys.stderr
     bridge = Bridge(diag=diag)
+    interp = Interpreter(bridge, out)
+    scope = Environment(interp.globals)  # the program's top-level bindings
     try:
         if not _load_plugins(bridge, plugins, diag):
             return 1
@@ -54,8 +56,7 @@ def cmd_run(
             return 1
         try:
             program = parse(source)
-            interp = Interpreter(bridge, out)
-            interp.run(program)
+            interp.run(program, scope)
         except RjsError as exc:
             diag.write(f"{type(exc).__name__}: {exc}\n")
             return 1
@@ -70,6 +71,7 @@ def cmd_run(
         return 0
     finally:
         bridge.shutdown()
+        scope.bindings.clear()  # breaks top-level closure cycles; no callback can read it now
 
 
 def cmd_repl(

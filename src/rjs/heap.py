@@ -12,13 +12,13 @@ concurrently with nothing stronger than per-access atomicity.
 `Heap._object` is the one place that turns a handle into its object.
 
 Bodies run as closures, not as a tree walk. `compile_body` turns a
-statement list into nested `step(heap, self_addr, args)` closures once;
-a signature keeps its compiled body for its life, so a plugin body
-(whose signature the per-process manifest memo shares between bridges)
-compiles once per process, while a macro compiles on every call. The
-closures hold no heap: each call passes it in, `self` normalized once,
-and a field step takes the lock for its own access only (a read is
-`read_field`).
+statement list into nested `step(heap, self_addr, args)` closures once; a
+signature keeps its compiled body for life (a plain store into
+`MethodSignature.code`), so a plugin body (whose signature the per-process
+manifest memo shares between bridges) compiles once per process, while a
+macro compiles on every call. The closures hold no heap: each call passes
+it in, `self` normalized once, and a field step takes the lock for its own
+access only (a read is `read_field`).
 """
 
 from __future__ import annotations
@@ -276,9 +276,9 @@ class Heap:
         body = signature.code
         if body is None:
             # Two threads may both compile a first call; the results are
-            # equal and the store is atomic under the GIL.
+            # equal and the plain store is atomic under the GIL.
             body = compile_body(signature.body, create_globals=False)
-            object.__setattr__(signature, "code", body)
+            signature.code = body
         result = self._run(body, self_addr, args)
         if result is None:
             if signature.returns == K_VOID:

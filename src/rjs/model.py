@@ -30,7 +30,7 @@ TAG_OBJ = "obj"
 TAG_VOID = "void"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ValueKind:
     """Host-side type of a field, parameter, return slot or global.
 
@@ -84,7 +84,7 @@ def wrap_i64(n: int) -> int:
     return (n - I64_MIN) % 2**64 + I64_MIN
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HostValue:
     """Tagged host-side value.
 
@@ -169,45 +169,45 @@ def format_host(value: HostValue) -> str:
 # body AST: the observable semantics of host methods, ctors and macros
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const:
     value: HostValue
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Param:
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SelfRef:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GetField:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GetGlobal:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BinOp:
     op: str  # one of + - * / %
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Builtin:
     name: str
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class New:
     type_name: str
     args: tuple["Expr", ...]
@@ -216,24 +216,24 @@ class New:
 Expr = Union[Const, Param, SelfRef, GetField, GetGlobal, BinOp, Builtin, New]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SetField:
     name: str
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SetGlobal:
     name: str  # qualified
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Return:
     value: Expr | None  # None returns void
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExprStmt:
     value: Expr
 
@@ -245,14 +245,14 @@ Stmt = Union[SetField, SetGlobal, Return, ExprStmt]
 # signatures and descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)  # not slotted: a weak reference to it needs `weakref_slot` (3.11)
+@dataclass(unsafe_hash=True)  # not slotted: a weak reference to it needs `weakref_slot` (3.11)
 class MethodSignature:
     """One overload: parameter kinds, return kind and an executable body.
 
-    `code` is `body` compiled by `heap.compile_body`, stored by the first
-    `Heap.exec_body` and kept for the signature's life. It holds no heap
-    or registry, so every bridge sharing the signature shares it; it
-    takes no part in comparison, hashing or `repr`.
+    `code` is `body` compiled by `heap.compile_body`, assigned by the first
+    `Heap.exec_body` (the one store into a built record) and kept for life.
+    It holds no heap or registry, so every bridge sharing the signature
+    shares it; it takes no part in comparison, hashing or `repr`.
     """
 
     params: tuple[ValueKind, ...]
@@ -285,7 +285,7 @@ def sig_str(name: str, sig: MethodSignature) -> str:
     return f"{name}({params}) -> {kind_str(sig.returns)}{suffix}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FieldDecl:
     name: str
     kind: ValueKind
@@ -300,7 +300,7 @@ class HostTypeDescriptor:
     without methods holds the read-only `Registry.no_methods` until an
     extension gives it a dict). The name, bases, field declarations
     and constructors are the plugin's (`registry.TypeSpec`), shared by
-    every registry that loads its memoised text, and never modified.
+    every registry that loads its memoised text, and never assigned to.
     """
 
     qualified_name: str

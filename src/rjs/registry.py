@@ -93,23 +93,23 @@ _TOP_KEYS = {"namespaces", "enums", "types", "functions", "globals", "statements
 # manifest AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FieldSpec:
     name: str
     kind: ValueKind
     initial_raw: object  # normalized JSON scalar; None means the null reference
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MethodSpec:
     name: str
     signature: MethodSignature
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TypeSpec:
-    """A type block; `qualified` and `decls` (None if a field is enum-kinded)
-    are derived at parse time and shared by every registry it merges into."""
+    """A type block; `qualified` and `decls` (None if a field is enum-kinded) are
+    derived at parse time; shared by every registry it merges into, never assigned to."""
 
     name: str
     namespace: str
@@ -130,7 +130,7 @@ class TypeSpec:
         return bool(self.methods) and not self.bases and not self.fields and not self.ctors
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FunctionSpec:
     name: str
     namespace: str
@@ -138,7 +138,7 @@ class FunctionSpec:
     qualified: str = field(compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GlobalSpec:
     name: str
     namespace: str
@@ -147,7 +147,7 @@ class GlobalSpec:
     qualified: str = field(compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ManifestAST:
     """A validated manifest.
 
@@ -170,7 +170,7 @@ class ManifestAST:
         return tuple(dict.fromkeys((*self.namespaces, *filter(None, homes))))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MacroResult:
     version: int
     value: HostValue
@@ -239,7 +239,7 @@ def _const_value(raw: object, what: str) -> HostValue:
 # body statements and expressions: one op table, read by the parser and the writer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class _BodyCtx:
     arity: int
     allow_self: bool

@@ -137,57 +137,57 @@ def tokenize(src: str) -> Tokens:
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SNum:
     value: float
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SStr:
     value: str
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SBool:
     value: bool
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SNull:
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SIdent:
     name: str
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SMember:
     obj: "SExpr"
     name: str
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SCall:
     fn: "SExpr"
     args: tuple["SExpr", ...]
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SFn:
     params: tuple[str, ...]
     body: tuple["SStmt", ...]
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SBin:
     op: str
     left: "SExpr"
@@ -198,21 +198,21 @@ class SBin:
 SExpr = Any  # union of the S* expression nodes above
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SLet:
     name: str
     value: SExpr
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SAssign:
     target: SExpr  # SIdent or SMember
     value: SExpr
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SExprStmt:
     value: SExpr
     pos: tuple[int, int] = field(default=(0, 0), compare=False)

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
 
+import rjs.cli
 from rjs import Bridge
 from rjs.cli import cmd_inspect, cmd_repl, cmd_run, main
 
@@ -209,6 +212,44 @@ def test_sync_only_run_starts_no_worker_thread(tmp_path, sample_plugin, monkeypa
     assert out.getvalue() == "1\n"
     assert during
     assert [t.name for t in during if t not in before and t.name.startswith("rjs-worker-")] == []
+
+
+NAP_PLUGIN = json.dumps({"functions": [{
+    "name": "Nap", "params": [], "returns": "void", "body": [
+        {"op": "builtin", "name": "sleep_ms", "args": [{"op": "const", "value": 5}]}],
+}]})
+
+
+@pytest.mark.parametrize("source", [
+    "let f = fn(v) { print(v); }; f(1);",
+    "let a = fn() { b(); }; let b = fn() { print(1); }; a();",
+    "let done = fn(v) { print(done); }; root.Nap(done);",
+])
+def test_a_finished_run_is_freed_without_a_collection(tmp_path, monkeypatch, source):
+    plugin = write(tmp_path, "p.plugin", NAP_PLUGIN)
+    script = write(tmp_path, "s.rjs", source)
+    refs: list[weakref.ref] = []
+
+    def recording_bridge(**kwargs):
+        bridge = Bridge(**kwargs)
+        refs.append(weakref.ref(bridge))
+        return bridge
+
+    monkeypatch.setattr(rjs.cli, "Bridge", recording_bridge)
+    gc.disable()
+    try:
+        assert cmd_run(script, [plugin], out=io.StringIO(), diag=io.StringIO()) == 0
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_an_async_callback_reads_the_top_level_scope_during_the_drain(tmp_path):
+    plugin = write(tmp_path, "p.plugin", NAP_PLUGIN)
+    script = write(tmp_path, "s.rjs", 'let x = 1; let show = fn(v) { print(x, v); }; root.Nap(show); x = 2;')
+    out, diag = io.StringIO(), io.StringIO()
+    assert cmd_run(script, [plugin], out=out, diag=diag) == 0
+    assert (out.getvalue(), diag.getvalue()) == ("2 null\n", "")
 
 
 def test_run_drain_timeout_exits_2(tmp_path):

@@ -14,7 +14,7 @@ by `Registry.declare_global`. Only `model.walk_layout` follows a type's
 `.bases`; besides it the attribute is read by `TypeSpec.is_extension`, by the
 descriptor build in `registry._fold` (as its `bases=` argument), by the
 manifest writer and by `repl.render_tree`. And every rjs dataclass passes
-`slots=True`, so its instances carry no `__dict__`.
+`slots=True`, so its instances carry no `__dict__`, and none is frozen.
 """
 
 from __future__ import annotations
@@ -394,7 +394,7 @@ def test_each_reader_of_bases_is_in_place():
     assert found == BASES_READERS
 
 
-# -- every rjs dataclass is slotted -----------------------------------------------------
+# -- every rjs dataclass is slotted and none is frozen ------------------------------------
 
 #: `MethodSignature` keeps its `__dict__`: a test takes a weak reference to one,
 #: and a slotted dataclass is weakly referenceable only with `weakref_slot=True`,
@@ -415,14 +415,24 @@ def _slotted(decorator: ast.expr) -> bool:
     )
 
 
+def _frozen(decorator: ast.expr) -> bool:
+    return isinstance(decorator, ast.Call) and any(
+        keyword.arg == "frozen" and not (isinstance(keyword.value, ast.Constant) and keyword.value.value is False)
+        for keyword in decorator.keywords
+    )
+
+
 def unslotted_dataclasses(source: str, filename: str = "<source>") -> list[str]:
-    """`file:line Class` of each dataclass that does not pass `slots=True`."""
+    """`file:line Class` of each dataclass that does not pass `slots=True` or
+    that does not leave `frozen` off: a frozen `__init__` stores each field
+    through `object.__setattr__`, at about three plain stores' cost."""
     return [
         f"{filename}:{node.lineno} {node.name}"
         for node in ast.walk(ast.parse(source, filename))
-        if isinstance(node, ast.ClassDef) and node.name not in UNSLOTTED
+        if isinstance(node, ast.ClassDef)
         for decorator in node.decorator_list
-        if _is_dataclass(decorator) and not _slotted(decorator)
+        if _is_dataclass(decorator)
+        and (_frozen(decorator) or (node.name not in UNSLOTTED and not _slotted(decorator)))
     ]
 
 
@@ -434,16 +444,24 @@ def unslotted_dataclasses(source: str, filename: str = "<source>") -> list[str]:
     "@dataclasses.dataclass(eq=False)\nclass A:\n    x: int",
     "@functools.total_ordering\n@dataclass(order=True)\nclass A:\n    x: int",
     "def f():\n    @dataclass\n    class A:\n        x: int",
+    "@dataclasses.dataclass(frozen=True, slots=True)\nclass A:\n    x: int",
+    "@dataclass(slots=True, frozen=FROZEN)\nclass A:\n    x: int",
 ])
 def test_the_slots_lint_sees_each_unslotted_dataclass(source):
     assert [entry.rsplit(" ", 1)[1] for entry in unslotted_dataclasses(source)] == ["A"]
 
 
+def test_the_slots_lint_sees_a_frozen_exempt_class():
+    source = "@dataclass(frozen=True)\nclass MethodSignature:\n    params: tuple"
+    assert unslotted_dataclasses(source, "m.py") == ["m.py:2 MethodSignature"]
+
+
 @pytest.mark.parametrize("source", [
     "@dataclass(slots=True)\nclass A:\n    x: int",
-    "@dataclasses.dataclass(frozen=True, slots=True)\nclass A:\n    x: int",
+    "@dataclasses.dataclass(frozen=False, slots=True)\nclass A:\n    x: int",
+    "@dataclass(slots=True, unsafe_hash=True)\nclass A:\n    x: int",
     "@functools.total_ordering\n@dataclass(order=True, slots=True)\nclass A:\n    x: int",
-    "@dataclass(frozen=True)\nclass MethodSignature:\n    params: tuple",
+    "@dataclass(unsafe_hash=True)\nclass MethodSignature:\n    params: tuple",
     "class A:\n    __slots__ = ('x',)",
     "@other(slots=False)\nclass A:\n    x: int",
 ])
