@@ -45,6 +45,7 @@ def cmd_run(
     bridge = Bridge(diag=diag)
     interp = Interpreter(bridge, out)
     scope = Environment(interp.globals)  # the program's top-level bindings
+    timed_out = False
     try:
         if not _load_plugins(bridge, plugins, diag):
             return 1
@@ -61,6 +62,7 @@ def cmd_run(
             diag.write(f"{type(exc).__name__}: {exc}\n")
             return 1
         if not bridge.dispatcher.drain(drain_timeout_ms):
+            timed_out = True
             diag.write(
                 f"drain timed out after {drain_timeout_ms} ms with "
                 f"{bridge.dispatcher.pending_count()} call(s) pending\n"
@@ -70,7 +72,10 @@ def cmd_run(
             return 1
         return 0
     finally:
-        bridge.shutdown()
+        if timed_out:  # a body still running must not hold the exit past the deadline
+            bridge.dispatcher.shutdown(wait=False)
+        else:
+            bridge.shutdown()
         scope.bindings.clear()  # breaks top-level closure cycles; no callback can read it now
 
 
@@ -84,10 +89,10 @@ def cmd_repl(
     out = out if out is not None else sys.stdout
     diag = diag if diag is not None else sys.stderr
     bridge = Bridge(diag=diag)
+    session = ReplSession(bridge, out)
     try:
         if not _load_plugins(bridge, plugins, diag):
             return 1
-        session = ReplSession(bridge, out)
         while session.active:
             out.write("rjs> ")
             out.flush()
@@ -99,6 +104,7 @@ def cmd_repl(
         return 0
     finally:
         bridge.shutdown()
+        session.env.bindings.clear()  # breaks top-level closure cycles, as in cmd_run
 
 
 def cmd_inspect(plugins: list[str], out: TextIO | None = None, diag: TextIO | None = None) -> int:

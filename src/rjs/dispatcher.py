@@ -96,7 +96,8 @@ class Dispatcher:
 
     The pool size is fixed at construction; its threads start on the
     first `submit`, so an engine that only ever runs sync calls starts none.
-    It is in its heap's `Registry.engines` from then until `shutdown`.
+    It is in its heap's `Registry.engines` from then until the last of them
+    exits after `shutdown`.
     """
 
     def __init__(
@@ -120,6 +121,7 @@ class Dispatcher:
         self._stopped = False
         self._home_thread = threading.get_ident()
         self._threads: list[threading.Thread] = []  # started ones only
+        self._exited = 0  # workers that have taken their stop sentinel
 
     # -- submission ---------------------------------------------------------
 
@@ -153,7 +155,7 @@ class Dispatcher:
         while True:
             task = self._tasks.get()
             if task is None:  # shutdown sentinel
-                return
+                break
             outcome: HostValue | None = None
             fault: Exception | None = None
             try:
@@ -161,6 +163,11 @@ class Dispatcher:
             except Exception as exc:  # faults travel to the error sink
                 fault = exc
             self._completions.put(Completion(task.call_id, outcome, fault))
+        with self._lock:  # no thread starts once stopped, so the count is final
+            self._exited += 1
+            last = self._exited == len(self._threads)
+        if last:
+            self.heap.registry.engines.discard(self)
 
     def _execute(self, task: CallTask) -> HostValue:
         return run_call(self.heap, task.target, task.signature, task.args, task.construct_type)
@@ -240,15 +247,22 @@ class Dispatcher:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def shutdown(self) -> None:
-        """Stop accepting work and join the started workers, then leave the registry:
-        completions stay deliverable through process_events but no longer gate merges."""
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop accepting work and post each started worker its stop sentinel.
+
+        The last worker to exit takes the engine out of `Registry.engines`:
+        completions stay deliverable through process_events but no longer
+        gate merges. With `wait`, return once every worker has exited;
+        without it, return at once, and a body still running finishes on
+        its daemon thread, as `concurrent.futures.Executor.shutdown(wait=False)`
+        leaves its work.
+        """
         with self._lock:
-            if self._stopped:
-                return
+            first = not self._stopped
             self._stopped = True
-        for _ in self._threads:
-            self._tasks.put(None)
-        for t in self._threads:
-            t.join()
-        self.heap.registry.engines.discard(self)
+        if first:
+            for _ in self._threads:
+                self._tasks.put(None)
+        if wait:
+            for t in self._threads:
+                t.join()

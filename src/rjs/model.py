@@ -10,7 +10,6 @@ semantics, type descriptors, the namespace tree and the Registry itself
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
 from .errors import ConflictError, NotANamespace, NotFound, UnknownType, ValidationError
@@ -294,19 +293,19 @@ class FieldDecl:
 
 @dataclass(slots=True)
 class HostTypeDescriptor:
-    """Introspection metadata for one host composite type.
+    """Introspection metadata for one host composite type: its name, bases,
+    field declarations and constructors, never assigned to once built.
 
-    The descriptor and its `methods` map are its registry's own (a type
-    without methods holds the read-only `Registry.no_methods` until an
-    extension gives it a dict). The name, bases, field declarations
-    and constructors are the plugin's (`registry.TypeSpec`), shared by
-    every registry that loads its memoised text, and never assigned to.
+    A type of a memoised plugin whose fields need no enum table and whose
+    ancestors the plugin declares has one descriptor per process, built
+    when the text is parsed and declared by every registry that loads it;
+    any other type's is built by the merge that declares it. Methods are
+    not here: a registry keeps each type's table in `Registry.methods`.
     """
 
     qualified_name: str
     bases: tuple[str, ...] = ()
     fields: tuple[FieldDecl, ...] = ()
-    methods: Mapping[str, OverloadSet] = field(default_factory=dict)
     ctors: tuple[MethodSignature, ...] = ()
 
 
@@ -368,15 +367,20 @@ def join_path(prefix: str, name: str) -> str:
 
 @dataclass(slots=True)
 class TypeLayout:
-    """A type's place in the inheritance graph, built once, when the type is merged.
+    """A type's place in the inheritance graph, built once: when its plugin
+    is parsed, for a type whose descriptor the plugin shares, else when the
+    merge that declares the type walks it.
 
     The type is `path[depth]`, and `path[depth::-1]` is the type followed by
     its ancestors, nearest first, each shared ancestor once. `fields` maps
     each field name declared on `path` to the index there of the type that
-    declares it and its declaration. A type whose one base is the last
-    entry of the base's path extends that path and its `fields` in place,
-    so a chain declared root first shares one of each; entries past
-    `depth` are other types' and are never read through this layout.
+    declares it and its declaration. Within one pass (a parse, or one
+    merge's walks) a type whose one base is the last entry of the base's
+    path extends that path and its `fields` in place, so a chain declared
+    root first shares one of each; entries past `depth` are other types'
+    and are never read through this layout. After its pass a layout is
+    never changed: a later type below it copies the base's part, so no two
+    registries ever extend one list or map.
 
     While the type and every ancestor have at most one base, `distance` is
     None and `path` is Cohen's display: the ancestor `k` levels below the
@@ -393,6 +397,7 @@ class TypeLayout:
 def walk_layout(
     desc: HostTypeDescriptor,
     find: Callable[[str], TypeLayout | HostTypeDescriptor | None],
+    own: Mapping[str, TypeLayout],
 ) -> TypeLayout:
     """Build `desc`'s layout, resolving each base name with `find`.
 
@@ -406,7 +411,10 @@ def walk_layout(
 
     A type with one base whose layout is built goes one level below it:
     breadth-first order from it is itself followed by the base's order, so
-    only its own fields are left to check. Any other type is walked
+    only its own fields are left to check. It extends the base's path and
+    field map in place only when `own`, the layouts built earlier in the
+    same pass, holds the base's layout and the base ends its path;
+    otherwise it copies the base's part. Any other type is walked
     breadth-first.
     """
     name = desc.qualified_name
@@ -414,7 +422,7 @@ def walk_layout(
     if isinstance(base, TypeLayout):
         depth = base.depth + 1
         path, fields = base.path, base.fields
-        if len(path) > depth:  # another type already extends the base: copy the base's part
+        if len(path) > depth or own.get(desc.bases[0]) is not base:  # not this pass's chain end: copy
             path = path[:depth]
             fields = {field_name: entry for field_name, entry in fields.items() if entry[0] < depth}
         distance = None if base.distance is None else {
@@ -467,13 +475,20 @@ class Registry:
     0-based declaration number. `declare` is the only writer of both and
     of the nodes' child maps; names are never removed, so a bridge shows
     scripts the names numbered below its cursor and moves the cursor on
-    a refresh. It holds declarations only, never a heap's values. `layouts`
-    maps every type to the layout the merge that declared it built; it is
-    kept for the registry's life, since a merged type's bases and fields
-    never change and an extension only changes `desc.methods`, which the
-    descriptors in a chain show. `engines` holds each dispatcher on its
-    heaps from its first asynchronous call to its `shutdown`; no mutation
-    while any has a call pending (quiescence).
+    a refresh. It holds declarations only, never a heap's values.
+
+    `layouts` maps every type to its layout, and `methods` maps each type
+    that has methods to a read-only map of its overload sets; the merge
+    (`registry._fold`) is the only writer of both. A layout is kept for
+    the registry's life, since a merged type's bases and fields never
+    change; a memoised plugin's shared types keep the layouts built when
+    it was parsed. A new type with methods holds its plugin's table; an
+    extension replaces the registry's entry with a new map and new sets
+    for the names it touches, so no table or set is ever changed.
+
+    `engines` holds each dispatcher on its heaps from its first
+    asynchronous call until its last worker exits after its `shutdown`; no
+    mutation while any has a call pending (quiescence).
     """
 
     def __init__(self) -> None:
@@ -483,8 +498,8 @@ class Registry:
         self.version = 0
         self.order: dict[str, int] = {}
         self.layouts: dict[str, TypeLayout] = {}
+        self.methods: dict[str, Mapping[str, OverloadSet]] = {}
         self.engines: set = set()  # dispatchers; see `Dispatcher.submit`
-        self.no_methods: Mapping[str, OverloadSet] = MappingProxyType({})
 
     # -- lookup / enumeration ------------------------------------------------
 
@@ -565,9 +580,12 @@ class Registry:
 
     def method_set(self, qualified_name: str, method_name: str) -> OverloadSet | None:
         """Nearest declaring type wins: a derived set hides a base set."""
+        methods = self.methods
         for desc in self.base_chain(qualified_name):
-            if method_name in desc.methods:
-                return desc.methods[method_name]
+            if desc.qualified_name in methods:  # most types declare no method
+                table = methods[desc.qualified_name]
+                if method_name in table:
+                    return table[method_name]
         return None
 
     def enumerator_value(self, enum_name: str, enumerator: str) -> int | None:

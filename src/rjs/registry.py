@@ -12,7 +12,9 @@ version bumped, and the bridge resynchronizes either way.
 A plugin text is parsed once per process (`parse_manifest` memoises
 statement-free results by text), so a long-lived host that opens
 session after session on the same libraries skips the parse; macros are
-parsed on every call.
+parsed on every call. The parse also builds the descriptor, layout and
+method table of each type the plugin can share, so every registry that
+loads the text declares those same objects instead of building its own.
 
 The host-body language is one table, `_OPS`, read by its parser and its
 writer. Methods, functions and constructors share one reader, and every
@@ -28,14 +30,16 @@ import re
 import sys
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Sequence, Set
+from collections.abc import Callable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
     ConflictError,
     NotQuiescent,
     ParseError,
+    RjsError,
     ValidationError,
 )
 from .heap import BUILTINS, OPERATORS, Heap
@@ -108,8 +112,15 @@ class MethodSpec:
 
 @dataclass(slots=True, unsafe_hash=True)
 class TypeSpec:
-    """A type block; `qualified` and `decls` (None if a field is enum-kinded) are
-    derived at parse time; shared by every registry it merges into, never assigned to."""
+    """A type block, shared by every registry it merges into and never assigned to.
+
+    Three parts are derived at parse time: `qualified`; `desc`, the type's
+    descriptor, None if a field is enum-kinded (its initial needs the
+    registry's enum table); and `method_table`, a read-only map of its
+    overload sets, None if it declares no method. A registry declares
+    `desc` when the manifest's `layouts` holds the type, and otherwise
+    builds its own descriptor on `desc.fields`.
+    """
 
     name: str
     namespace: str
@@ -118,7 +129,8 @@ class TypeSpec:
     methods: tuple[MethodSpec, ...]
     ctors: tuple[MethodSignature, ...]
     qualified: str = field(compare=False)
-    decls: tuple[FieldDecl, ...] | None = field(compare=False, repr=False)
+    desc: HostTypeDescriptor | None = field(compare=False, repr=False)
+    method_table: Mapping[str, OverloadSet] | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_extension(self) -> bool:
@@ -153,6 +165,9 @@ class ManifestAST:
 
     A plugin's AST is memoised by `parse_manifest` and shared by every
     bridge that loads the same text; callers must not modify it.
+    `layouts` maps each type whose layout the parse built (see
+    `_shared_layouts`; none for a manifest with statements) to it; the
+    type's descriptor is `layout.path[layout.depth]`.
     """
 
     namespaces: tuple[str, ...] = ()
@@ -161,6 +176,7 @@ class ManifestAST:
     functions: tuple[FunctionSpec, ...] = ()
     globals: tuple[GlobalSpec, ...] = ()
     statements: tuple[Stmt, ...] = ()
+    layouts: dict[str, TypeLayout] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def namespace_paths(self) -> tuple[str, ...]:
@@ -460,7 +476,7 @@ def _resolve_initial(
         return ref(0)
     if kind.tag != TAG_ENUM:
         return HostValue(kind.tag, raw)
-    _check_enums(enums, what, (kind,))
+    _check_enums(enums, (kind,), what)
     table = enums[kind.name or ""]
     if isinstance(raw, str):
         if raw not in table:
@@ -597,9 +613,26 @@ def _parse_manifest(text: str) -> ManifestAST:
     macro_ctx = _BodyCtx(0, allow_self=False, what="macro statements")
     statements = tuple(parse_body(s, macro_ctx, True) for s in statements_raw)
 
-    ast = ManifestAST(tuple(namespaces), enums, types, functions, globals_, statements)
+    layouts = {} if statements else _shared_layouts(types)
+    ast = ManifestAST(tuple(namespaces), enums, types, functions, globals_, statements, layouts)
     _validate_manifest(ast)
     return ast
+
+
+def _shared_layouts(types: tuple[TypeSpec, ...]) -> dict[str, TypeLayout]:
+    """The layout of each type whose descriptor every registry can share: one
+    with a descriptor (no enum-kinded field) whose ancestors the manifest
+    declares. An extension-shaped block is no ancestor here, since it names
+    an existing type in a registry that has one. A type the walk faults on
+    gets no layout, so the merge walks it and raises as it would without this."""
+    descs = {t.qualified: t.desc for t in types if t.desc is not None and not t.is_extension}
+    layouts: dict[str, TypeLayout] = {}
+    for qualified, desc in descs.items():
+        try:
+            layouts[qualified] = walk_layout(desc, lambda n: layouts.get(n) or descs.get(n), layouts)
+        except RjsError:
+            pass
+    return layouts
 
 
 def _as_list(raw: object, what: str) -> list:
@@ -660,9 +693,11 @@ def _parse_type(raw: dict, what: str) -> TypeSpec:
         ctors.append(_parse_callable(craw, f"{what} constructor", _CTOR_KEYS)[1])
     _check_distinguishable([("(ctor)", c) for c in ctors], f"{what} constructors")
 
-    shared = None if any(f.kind.tag == TAG_ENUM for f in fields) else _field_decls(fields, {}, what)
-    return TypeSpec(name, namespace, bases, tuple(fields), tuple(methods), tuple(ctors),
-                    join_path(namespace, name), shared)
+    qualified, ctor_sigs = join_path(namespace, name), tuple(ctors)
+    desc = None if any(f.kind.tag == TAG_ENUM for f in fields) else HostTypeDescriptor(
+        qualified, bases, _field_decls(fields, {}, what), ctor_sigs)
+    return TypeSpec(name, namespace, bases, tuple(fields), tuple(methods), ctor_sigs, qualified,
+                    desc, _with_methods({}, methods) if methods else None)
 
 
 def _parse_function(raw: dict, what: str) -> FunctionSpec:
@@ -841,44 +876,52 @@ def _fold(registry: Registry, ast: ManifestAST, heap: Heap | None) -> int:
 
     # types: split into fresh declarations and method-only extensions
     new_types: list[tuple[str, HostTypeDescriptor]] = []
-    extensions: list[tuple[HostTypeDescriptor, tuple[MethodSpec, ...]]] = []
+    to_walk: dict[str, HostTypeDescriptor] = {}  # new types without a shared layout
+    tables: list[tuple[str, Mapping[str, OverloadSet]]] = []
     for t in ast.types:
-        what = f"type {t.qualified}"
         existing = registry.entries.get(t.qualified)
         if isinstance(existing, HostTypeDescriptor):
             if not t.is_extension:
                 raise ConflictError(f"type {t.qualified!r} already declared")
+            table = registry.methods.get(t.qualified, {})
             for m in t.methods:
-                _check_overload(existing.methods.get(m.name), "method",
-                                f"{t.qualified}.{m.name}", m.signature)
-                _check_enums(enums_overlay, f"{what} method {m.name}", _kinds(m.signature))
-            extensions.append((existing, t.methods))
+                _check_overload(table.get(m.name), "method", f"{t.qualified}.{m.name}", m.signature)
+                _check_enums(enums_overlay, _kinds(m.signature), "type", t.qualified, "method", m.name)
+            tables.append((t.qualified, _with_methods(table, t.methods)))
             continue
         if existing is not None:
             raise ConflictError(f"{t.qualified!r} already declared as a {category(existing)}")
-        if t.decls is None:  # set at parse time only when no field is enum-kinded
+        if t.desc is None:  # an enum-kinded field
             for f in t.fields:
-                _check_enums(enums_overlay, f"{what} field {f.name}", (f.kind,))
+                _check_enums(enums_overlay, (f.kind,), "type", t.qualified, "field", f.name)
         for m in t.methods:
-            _check_enums(enums_overlay, f"{what} method {m.name}", _kinds(m.signature))
+            _check_enums(enums_overlay, _kinds(m.signature), "type", t.qualified, "method", m.name)
         for c in t.ctors:
-            _check_enums(enums_overlay, f"{what} constructor", _kinds(c))
-        desc = HostTypeDescriptor(
-            qualified_name=t.qualified,
-            bases=t.bases,
-            fields=t.decls if t.decls is not None else _field_decls(t.fields, enums_overlay, what),
-            methods=_add_methods({}, t.methods) if t.methods else registry.no_methods,
-            ctors=t.ctors,
-        )
+            _check_enums(enums_overlay, _kinds(c), "type", t.qualified, "constructor")
+        shared = ast.layouts.get(t.qualified)
+        if shared is not None:
+            desc = shared.path[shared.depth]
+        else:
+            desc = to_walk[t.qualified] = HostTypeDescriptor(
+                qualified_name=t.qualified,
+                bases=t.bases,
+                fields=t.desc.fields if t.desc is not None
+                else _field_decls(t.fields, enums_overlay, f"type {t.qualified}"),
+                ctors=t.ctors,
+            )
         new_types.append((t.name, desc))
+        if t.method_table is not None:
+            tables.append((t.qualified, t.method_table))
 
     # the walk checks bases and field shadowing in manifest order, so a type whose one
-    # base came earlier, or in an earlier merge, builds on the base's layout
-    new_by_name = {desc.qualified_name: desc for _, desc in new_types}
-    layouts: dict[str, TypeLayout] = {}
-    for qualified, desc in new_by_name.items():
-        layouts[qualified] = walk_layout(
-            desc, lambda n: layouts.get(n) or registry.layouts.get(n) or new_by_name.get(n))
+    # base came earlier, or in an earlier merge, or in the plugin, builds on the base's layout
+    built: dict[str, TypeLayout] = {}
+    for qualified, desc in to_walk.items():
+        built[qualified] = walk_layout(
+            desc,
+            lambda n: built.get(n) or registry.layouts.get(n) or ast.layouts.get(n) or to_walk.get(n),
+            built,
+        )
 
     # `parse_manifest` has rejected overloads that collide within the manifest
     for fn in ast.functions:
@@ -886,7 +929,7 @@ def _fold(registry: Registry, ast: ManifestAST, heap: Heap | None) -> int:
         if existing is not None and not isinstance(existing, OverloadSet):
             raise ConflictError(f"{fn.qualified!r} already declared as a {category(existing)}")
         _check_overload(existing, "function", fn.qualified, fn.signature)
-        _check_enums(enums_overlay, f"function {fn.qualified}", _kinds(fn.signature))
+        _check_enums(enums_overlay, _kinds(fn.signature), "function", fn.qualified)
 
     globals_: list[GlobalDecl] = []
     for g in ast.globals:
@@ -903,9 +946,9 @@ def _fold(registry: Registry, ast: ManifestAST, heap: Heap | None) -> int:
         registry.declare("namespace", path, name, NamespaceNode(name))
     for name, desc in new_types:
         registry.declare("type", desc.qualified_name, name, desc)
-    registry.layouts.update(layouts)
-    for desc, methods in extensions:
-        desc.methods = _add_methods(dict(desc.methods), methods)
+    registry.layouts.update(ast.layouts)
+    registry.layouts.update(built)
+    registry.methods.update(tables)
     for fn in ast.functions:
         overloads = registry.entries.get(fn.qualified)
         if overloads is None:  # only the first overload adds a name
@@ -934,16 +977,21 @@ def _kinds(sig: MethodSignature) -> tuple[ValueKind, ...]:
     return (*sig.params, sig.returns)
 
 
-def _check_enums(enums: dict[str, dict[str, int]], what: str, kinds: tuple[ValueKind, ...]) -> None:
-    """ValidationError for the first of `kinds` that names an unknown enum."""
+def _check_enums(enums: dict[str, dict[str, int]], kinds: tuple[ValueKind, ...], *what: str) -> None:
+    """ValidationError, labelled by the words of `what`, for the first of `kinds`
+    that names an unknown enum."""
     for kind in kinds:
         if kind.tag == TAG_ENUM and (kind.name or "") not in enums:
-            raise ValidationError(f"{what}: unknown enum {kind.name!r}")
+            raise ValidationError(f"{' '.join(what)}: unknown enum {kind.name!r}")
 
 
-def _add_methods(
-    sets: dict[str, OverloadSet], methods: tuple[MethodSpec, ...]
-) -> dict[str, OverloadSet]:
+def _with_methods(
+    table: Mapping[str, OverloadSet], methods: Sequence[MethodSpec]
+) -> Mapping[str, OverloadSet]:
+    """A read-only copy of `table` with `methods` added; every name they touch
+    gets a new OverloadSet, so neither `table` nor a set of it changes."""
+    sets = dict(table)
     for m in methods:
-        sets.setdefault(m.name, OverloadSet(m.name)).signatures.append(m.signature)
-    return sets
+        before = sets.get(m.name)
+        sets[m.name] = OverloadSet(m.name, [*before.signatures, m.signature] if before else [m.signature])
+    return MappingProxyType(sets)

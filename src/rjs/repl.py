@@ -38,8 +38,9 @@ def render_tree(registry: Registry) -> str:
             for ctor in desc.ctors:
                 params = ", ".join(kind_str(k) for k in ctor.params)
                 lines.append(f"{pad}  {name}({params})")
-            for method_name in sorted(desc.methods):
-                for sig in desc.methods[method_name].signatures:
+            methods = registry.methods.get(desc.qualified_name, {})
+            for method_name in sorted(methods):
+                for sig in methods[method_name].signatures:
                     lines.append(f"{pad}  {sig_str(method_name, sig)}")
         for name in sorted(node.functions):
             for sig in node.functions[name].signatures:

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 import rjs.cli
 from rjs import Bridge
 from rjs.cli import cmd_inspect, cmd_repl, cmd_run, main
+from rjs.registry import merge, parse_manifest
 
 
 LOOP_PLUGIN = json.dumps({"types": [{
@@ -264,6 +266,33 @@ def test_run_drain_timeout_exits_2(tmp_path):
     assert "drain timed out" in diag.getvalue()
 
 
+def test_a_timed_out_drain_exits_without_waiting_for_the_body(tmp_path, monkeypatch):
+    plugin = write(tmp_path, "p.plugin", json.dumps({
+        "functions": [{"name": "Nap", "params": [], "returns": "void", "body": [
+            {"op": "builtin", "name": "sleep_ms", "args": [{"op": "const", "value": 3000}]}]}],
+    }))
+    script = write(tmp_path, "s.rjs", "root.Nap(fn(v) { v; });")
+    bridges: list[Bridge] = []
+
+    def recording_bridge(**kwargs):
+        bridges.append(Bridge(**kwargs))
+        return bridges[-1]
+
+    monkeypatch.setattr(rjs.cli, "Bridge", recording_bridge)
+    diag = io.StringIO()
+    start = time.monotonic()
+    assert cmd_run(script, [plugin], drain_timeout_ms=100, out=io.StringIO(), diag=diag) == 2
+    assert time.monotonic() - start < 1.0
+    assert diag.getvalue() == "drain timed out after 100 ms with 1 call(s) pending\n"
+    registry = bridges[0].registry
+    deadline = start + 3.0 + 5.0
+    while registry.engines and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not registry.engines
+    merge(registry, parse_manifest(json.dumps({"namespaces": ["After"]})))
+    assert registry.version == 2
+
+
 def test_run_deterministic_output(tmp_path, sample_plugin):
     script = write(
         tmp_path, "s.rjs",
@@ -350,3 +379,21 @@ def test_main_dispatches(tmp_path, math_plugin, capsys):
     assert code == 0
     assert captured.out == "3.141592653589793\n"
     assert main(["inspect", "--tree"]) == 0
+
+
+def test_a_finished_repl_session_is_freed_without_a_collection(monkeypatch):
+    refs: list[weakref.ref] = []
+
+    def recording_bridge(**kwargs):
+        bridge = Bridge(**kwargs)
+        refs.append(weakref.ref(bridge))
+        return bridge
+
+    monkeypatch.setattr(rjs.cli, "Bridge", recording_bridge)
+    stdin = io.StringIO("let f = fn() { f; };\n")
+    gc.disable()
+    try:
+        assert cmd_repl([], stdin=stdin, out=io.StringIO(), diag=io.StringIO()) == 0
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()

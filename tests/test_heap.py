@@ -326,7 +326,7 @@ def test_obj_fields_null_initial_and_subtype_writes(world):
 def test_mag_body_evaluates_to_five(world):
     registry, heap = world
     addr = heap.construct("Vec2", [f64(3.0), f64(4.0)])
-    sig = registry.lookup("Vec2").methods["Mag"].signatures[0]
+    sig = registry.methods["Vec2"]["Mag"].signatures[0]
     assert heap.exec_body(addr, sig, []) == f64(5.0)
 
 
@@ -476,7 +476,7 @@ def test_sleep_ms_suspends(world):
 def test_exec_body_deterministic(world):
     registry, heap = world
     addr = heap.construct("Vec2", [f64(3.0), f64(4.0)])
-    sig = registry.lookup("Vec2").methods["Mag"].signatures[0]
+    sig = registry.methods["Vec2"]["Mag"].signatures[0]
     first = heap.exec_body(addr, sig, [])
     second = heap.exec_body(addr, sig, [])
     assert first == second

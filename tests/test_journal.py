@@ -278,7 +278,7 @@ def check_layouts(world: World) -> None:
             if owner is None:
                 assert found is None
             else:
-                assert found is registry.find_type(owner).methods[method]
+                assert found is registry.methods[owner][method]
                 assert len(found) == world.methods[owner][method]
         above = world.ancestors(dynamic)
         for name, (owner, initial) in world.fields.items():
@@ -392,10 +392,8 @@ def test_extension_of_memoised_base_is_seen_and_hidden_by_nearest(world):
     merge(registry, parse_manifest(json.dumps({"types": [
         {"name": "Base", "methods": [{"name": "Late"}, {"name": "Own"}]},
     ]})), world.heap)
-    base = registry.find_type("Base")
-    derived = registry.find_type("Derived")
-    assert registry.method_set("Derived", "Late") is base.methods["Late"]
-    assert registry.method_set("Derived", "Own") is derived.methods["Own"]
+    assert registry.method_set("Derived", "Late") is registry.methods["Base"]["Late"]
+    assert registry.method_set("Derived", "Own") is registry.methods["Derived"]["Own"]
 
 
 def test_unknown_type_is_not_memoised(world):

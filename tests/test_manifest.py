@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,12 @@ from hypothesis import strategies as st
 import rjs.registry
 from rjs import Bridge
 from rjs.errors import ParseError, ValidationError
-from rjs.model import K_BOOL, K_CSTR, K_F64, K_I64, K_STR, K_VOID, Const, Return, SetGlobal, enumval, i64
-from rjs.registry import ManifestAST, parse_manifest, serialize_manifest
+from rjs.heap import Heap
+from rjs.model import (K_BOOL, K_CSTR, K_F64, K_I64, K_STR, K_VOID, Const, FieldDecl, Registry, Return,
+                       SetGlobal, enumval, i64)
+from rjs.registry import ManifestAST, eval_macro, merge, parse_manifest, serialize_manifest
+
+import support
 
 VEC2 = {
     "types": [{
@@ -459,7 +464,7 @@ def test_bridges_sharing_a_memoised_plugin_keep_their_own_registries(sample_plug
             registry = bridge.registry
             listings = {path: registry.enumerate(path) for path in ("", "ROOT", "ROOT.Math", "ROOT.IO")}
             methods = {
-                name: {m: list(s.signatures) for m, s in registry.find_type(name).methods.items()}
+                name: {m: list(s.signatures) for m, s in registry.methods.get(name, {}).items()}
                 for name in registry.enumerate("").types
             }
             return listings, methods, dict(bridge.heap.globals)
@@ -528,11 +533,13 @@ def test_a_plugin_is_declared_once_per_process(tmp_path, parses):
         index = {name: name for name in first.registry.order}  # each key as the registry holds it
         for name in ("N.Base", "Plain"):
             ours, theirs = first.registry.find_type(name), second.registry.find_type(name)
-            assert ours is not theirs and ours.methods is not theirs.methods
+            assert ours is theirs and first.registry.layouts[name] is second.registry.layouts[name]
             assert ours.fields is theirs.fields and ours.ctors is theirs.ctors
             assert ours.qualified_name is theirs.qualified_name is index[name]
             kinds += [decl.kind for decl in ours.fields]
-            signatures = [*ours.ctors, *(s for m in ours.methods.values() for s in m.signatures)]
+            table = first.registry.methods.get(name, {})
+            assert table is second.registry.methods.get(name, table)
+            signatures = [*ours.ctors, *(s for m in table.values() for s in m.signatures)]
             kinds += [k for sig in signatures for k in (*sig.params, sig.returns)]
         kinds += [k for s in first.registry.lookup("N.F").signatures for k in (*s.params, s.returns)]
         kinds.append(first.registry.lookup("N.g").kind)
@@ -573,8 +580,125 @@ def test_an_extension_stays_in_its_registry(tmp_path, parses):
              "body": [{"op": "ret", "value": {"op": "const", "value": 1}}]}]}]}))
         assert first.registry.method_set("Plain", "Extra") is not None
         assert second.registry.method_set("Plain", "Extra") is None
-        assert second.registry.find_type("Plain").methods == {}
+        assert "Plain" not in second.registry.methods
         assert first.registry.method_set("N.Base", "Extra") is None
     finally:
         first.shutdown()
         second.shutdown()
+
+
+def test_a_plugins_types_are_shared_unless_an_enum_or_an_outside_base_needs_the_registry(tmp_path, parses):
+    outside = tmp_path / "outside.plugin"
+    outside.write_text(json.dumps({"enums": {"EColor": {"kRed": 2}},
+                                   "types": [{"name": "Ext", "fields": [{"name": "e", "kind": "i64"}]}]}))
+    plugin = tmp_path / "mixed.plugin"
+    plugin.write_text(json.dumps({"types": [
+        {"name": "Root", "fields": [{"name": "r", "kind": "i64", "initial": 1}]},
+        {"name": "Mid", "bases": ["Root"], "fields": [{"name": "m", "kind": "f64"}]},
+        {"name": "Tip", "bases": ["Mid"]},
+        {"name": "Paint", "bases": ["Root"], "fields": [{"name": "c", "kind": {"enum": "EColor"}, "initial": "kRed"}]},
+        {"name": "Below", "bases": ["Paint"]},
+        {"name": "Out", "bases": ["Ext"], "fields": [{"name": "o", "kind": "bool"}]},
+        {"name": "Lone", "methods": [{"name": "Get", "returns": "i64"}]},
+        {"name": "UnderLone", "bases": ["Lone"]},
+    ]}))
+    bridges = []
+    try:
+        for _ in range(2):
+            bridges.append(load_in_new_bridge(outside))
+            bridges[-1].loadlibrary(str(plugin))
+        ours, theirs = (b.registry for b in bridges)
+        assert parses.count(plugin.read_text()) == 1
+        for name in ("Root", "Mid", "Tip"):
+            assert ours.find_type(name) is theirs.find_type(name)
+            assert ours.layouts[name] is theirs.layouts[name]
+        for name in ("Paint", "Below", "Out", "Lone", "UnderLone"):
+            assert ours.find_type(name) is not theirs.find_type(name)
+            assert ours.layouts[name] is not theirs.layouts[name]
+        bases = {"Root": [], "Mid": ["Root"], "Tip": ["Mid"], "Paint": ["Root"], "Below": ["Paint"],
+                 "Out": ["Ext"], "Ext": [], "Lone": [], "UnderLone": ["Lone"]}
+        for registry in (ours, theirs):
+            for dynamic in bases:
+                distances = {target: support.chain_distance(dynamic, target, bases) for target in bases}
+                assert [d.qualified_name for d in registry.base_chain(dynamic)] == sorted(
+                    (t for t in bases if distances[t] is not None), key=distances.__getitem__)
+                assert {t: registry.subtype_distance(dynamic, t) for t in bases} == distances
+        assert ours.field_decl("Below", "c") == FieldDecl("c", ours.field_decl("Paint", "c").kind, enumval("EColor", 2))
+        assert ours.method_set("UnderLone", "Get") is theirs.method_set("UnderLone", "Get") is not None
+    finally:
+        for b in bridges:
+            b.shutdown()
+
+
+def test_an_overload_added_in_one_registry_changes_no_shared_table(tmp_path, parses):
+    path = tmp_path / "methods.plugin"
+    path.write_text(json.dumps({"types": [
+        {"name": "Base", "methods": [{"name": "Get", "params": ["f64"], "returns": "i64"}]},
+        {"name": "Derived", "bases": ["Base"]},
+        {"name": "Near", "bases": ["Base"], "methods": [{"name": "Get", "params": ["cstr"], "returns": "i64"}]},
+    ]}))
+    first, second = load_in_new_bridge(path), load_in_new_bridge(path)
+    try:
+        shared = rjs.registry._memo[path.read_text()].types[0].method_table
+        assert first.registry.methods["Base"] is second.registry.methods["Base"] is shared
+        first.evalmacro(json.dumps({"types": [{"name": "Base", "methods": [
+            {"name": "Get", "params": ["i64"], "returns": "i64"}, {"name": "Put", "params": []}]}]}))
+        ours, theirs = first.registry, second.registry
+        assert len(ours.method_set("Derived", "Get")) == 2 and ours.method_set("Derived", "Put") is not None
+        assert ours.method_set("Derived", "Get") is ours.methods["Base"]["Get"] is not shared["Get"]
+        assert len(ours.method_set("Near", "Get")) == 1 and ours.method_set("Near", "Get") is ours.methods["Near"]["Get"]
+        assert theirs.methods["Base"] is shared and list(shared) == ["Get"] and len(shared["Get"]) == 1
+        assert len(theirs.method_set("Derived", "Get")) == 1 and theirs.method_set("Derived", "Put") is None
+        assert first.registry.methods["Near"] is second.registry.methods["Near"]
+    finally:
+        first.shutdown()
+        second.shutdown()
+
+
+def test_registries_on_two_threads_grow_below_one_shared_chain_end():
+    depth, per_thread = 10, 200
+    text = json.dumps({"types": [
+        {"name": f"C{d}", **({"bases": [f"C{d - 1}"]} if d else {}),
+         "fields": [{"name": f"f{d}", "kind": "i64", "initial": d}]} for d in range(depth)]})
+    end = f"C{depth - 1}"
+    registries = [Registry() for _ in range(2)]
+    for registry in registries:
+        merge(registry, parse_manifest(text))
+    shared = registries[0].layouts[end]
+    sizes = (len(shared.path), len(shared.fields))
+    start = threading.Barrier(len(registries))
+    errors: list[BaseException] = []
+
+    def grow(index: int) -> None:
+        try:
+            registry = registries[index]
+            heap = Heap(registry)
+            start.wait()
+            for k in range(per_thread):
+                eval_macro(registry, heap, json.dumps({
+                    "types": [{"name": f"T{index}_{k}", "bases": [end],
+                               "fields": [{"name": "x", "kind": "i64", "initial": k}]}],
+                    "statements": [{"op": "ret", "value": {"op": "const", "value": k}}]}))
+        except BaseException as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=grow, args=(i,)) for i in range(len(registries))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert (len(shared.path), len(shared.fields)) == sizes
+    for index, registry in enumerate(registries):
+        assert registry.layouts[end] is shared
+        bases = {f"C{d}": [f"C{d - 1}"] if d else [] for d in range(depth)}
+        bases.update({f"T{index}_{k}": [end] for k in range(per_thread)})
+        fields = {f"C{d}": (f"f{d}", d) for d in range(depth)}
+        fields.update({f"T{index}_{k}": ("x", k) for k in range(per_thread)})
+        for dynamic in (*(f"T{index}_{k}" for k in range(0, per_thread, 7)), "C0", end):
+            distances = {target: support.chain_distance(dynamic, target, bases) for target in bases}
+            expected = {name: FieldDecl(name, K_I64, i64(initial))
+                        for owner, (name, initial) in fields.items() if distances[owner] is not None}
+            for name in {name for name, _ in fields.values()}:
+                assert registry.field_decl(dynamic, name) == expected.get(name)
+            assert {t: registry.subtype_distance(dynamic, t) for t in bases} == distances

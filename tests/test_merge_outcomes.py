@@ -77,8 +77,7 @@ def test_a_merge_that_fails_on_its_last_global_writes_nothing():
         "types": [{"name": "T", "methods": [{"name": "m", "params": ["i64"]}]}],
         "globals": [{"name": "h", "kind": "i64", "initial": 2}],
     })), heap)
-    extended = registry.lookup("T")
-    methods = extended.methods
+    methods = registry.methods["T"]
     before = (render_tree(registry), dict(registry.order), dict(registry.enums), registry.version)
     failing = parse_manifest(json.dumps({
         "namespaces": ["N"],
@@ -95,5 +94,5 @@ def test_a_merge_that_fails_on_its_last_global_writes_nothing():
         merge(registry, failing, heap)
     assert str(caught.value) == "'h' already declared as a global"
     assert (render_tree(registry), dict(registry.order), dict(registry.enums), registry.version) == before
-    assert extended.methods is methods and list(methods) == ["m"] and len(methods["m"]) == 1
+    assert registry.methods["T"] is methods and list(methods) == ["m"] and len(methods["m"]) == 1
     assert heap.globals == {"h": i64(2)}

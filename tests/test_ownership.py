@@ -6,9 +6,9 @@ fails on any store into, or `del` of, an item of an attribute with one
 of those table names outside `heap.py`, and on a store of a global's
 value anywhere in `heap.py` but `Heap.write_global`. Reading is allowed
 anywhere. Likewise only an engine's lifecycle changes `Registry.engines`:
-`Dispatcher.submit` adds, `Dispatcher.shutdown` discards. Only the merge
-(`registry._fold`) writes `Registry.layouts`, which `Registry.__init__`
-creates. `Registry.declare`,
+`Dispatcher.submit` adds, and the last worker to leave `Dispatcher._worker_loop`
+discards. Only the merge (`registry._fold`) writes `Registry.layouts` and
+`Registry.methods`, which `Registry.__init__` creates. `Registry.declare`,
 the one writer of names, is called only by the merge (`registry._fold`) and
 by `Registry.declare_global`. Only `model.walk_layout` follows a type's
 `.bases`; besides it the attribute is read by `TypeSpec.is_extension`, by the
@@ -109,7 +109,7 @@ ENGINES_MUTATORS = {"add", "discard", "append", "remove", "clear", "update", "po
 ENGINES_ALLOWED = {
     ("Registry.__init__", "="),
     ("Dispatcher.submit", "add"),
-    ("Dispatcher.shutdown", "discard"),
+    ("Dispatcher._worker_loop", "discard"),
 }
 ALL_SOURCES = sorted((REPO_ROOT / "src" / "rjs").glob("*.py"))
 
@@ -171,6 +171,7 @@ def engines_violations(source: str, filename: str = "<source>") -> list[str]:
     ("sink = registry.engines.discard", 1),
     ("class Dispatcher:\n    def submit(self):\n        self.heap.registry.engines.discard(self)", 1),
     ("class Dispatcher:\n    def shutdown(self):\n        self.heap.registry.engines.pop()", 1),
+    ("class Dispatcher:\n    def shutdown(self):\n        self.heap.registry.engines.discard(self)", 1),
     ("class Dispatcher:\n    def submit(self):\n        def later():\n"
      "            self.heap.registry.engines.add(self)", 1),
     ("class Registry:\n    def merge(self):\n        self.engines = set()", 1),
@@ -182,7 +183,7 @@ def test_the_engines_lint_sees_each_change(source, count):
 @pytest.mark.parametrize("source", [
     "class Registry:\n    def __init__(self):\n        self.engines: set = set()",
     "class Dispatcher:\n    def submit(self):\n        self.heap.registry.engines.add(self)",
-    "class Dispatcher:\n    def shutdown(self):\n        self.heap.registry.engines.discard(self)",
+    "class Dispatcher:\n    def _worker_loop(self):\n        self.heap.registry.engines.discard(self)",
     "pending = sum(engine.pending_count() for engine in tuple(registry.engines))",
     "engines = set()\nengines.add(1)",
     "registry.engines_seen.add(1)",
@@ -206,19 +207,19 @@ def test_each_lifecycle_change_of_registry_engines_is_in_place():
     assert found == ENGINES_ALLOWED
 
 
-# -- only the merge writes `Registry.layouts` ---------------------------------------------
+# -- only the merge writes `Registry.layouts` and `Registry.methods` ----------------------
 
 LAYOUTS_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__", "__ior__"}
 LAYOUTS_WRITER = "_fold"
 LAYOUTS_CREATED = ("Registry.__init__", "=")
 
 
-def layouts_violations(source: str, filename: str = "<source>") -> list[str]:
-    """`file:line` and what of each change to `.layouts` outside the merge, but the
-    registry's creation of the dict."""
+def merge_table_violations(source: str, attr: str, filename: str = "<source>") -> list[str]:
+    """`file:line` and what of each change to `.layouts` or `.methods` (`attr`)
+    outside the merge, but the registry's creation of the dict."""
     return [
         f"{filename}:{line} {scope or '<module>'} {change}"
-        for scope, change, line in attribute_changes(ast.parse(source, filename), "layouts", LAYOUTS_MUTATORS)
+        for scope, change, line in attribute_changes(ast.parse(source, filename), attr, LAYOUTS_MUTATORS)
         if scope != LAYOUTS_WRITER and (scope, change) != LAYOUTS_CREATED
     ]
 
@@ -237,7 +238,7 @@ def layouts_violations(source: str, filename: str = "<source>") -> list[str]:
     ("class Heap:\n    def _fold(self):\n        self.registry.layouts.update(built)", 1),
 ])
 def test_the_layouts_lint_sees_each_other_writer(source, count):
-    assert len(layouts_violations(source)) == count
+    assert len(merge_table_violations(source, "layouts")) == count
 
 
 @pytest.mark.parametrize("source", [
@@ -250,12 +251,12 @@ def test_the_layouts_lint_sees_each_other_writer(source, count):
     "path = layout.path[layout.depth :: -1]",
 ])
 def test_the_layouts_lint_passes_reads_and_the_merge(source):
-    assert layouts_violations(source) == []
+    assert merge_table_violations(source, "layouts") == []
 
 
 @pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
 def test_only_the_merge_writes_registry_layouts(path):
-    assert layouts_violations(path.read_text(encoding="utf-8"), path.name) == []
+    assert merge_table_violations(path.read_text(encoding="utf-8"), "layouts", path.name) == []
 
 
 def test_the_merge_writes_registry_layouts():
@@ -264,6 +265,47 @@ def test_the_merge_writes_registry_layouts():
         for path in ALL_SOURCES
         for scope, change, _ in attribute_changes(
             ast.parse(path.read_text(encoding="utf-8")), "layouts", LAYOUTS_MUTATORS)
+    }
+    assert found == {LAYOUTS_CREATED, (LAYOUTS_WRITER, "update")}
+
+
+@pytest.mark.parametrize("source, count", [
+    ("registry.methods['T'] = table", 1),
+    ("def f(registry):\n    registry.methods.update(tables)\n    registry.methods.setdefault(q, t)", 2),
+    ("def f(registry):\n    registry.methods = {}", 1),
+    ("def f(registry):\n    del registry.methods[q]\n    registry.methods.pop(q)", 2),
+    ("class Registry:\n    def method_set(self, q, m):\n        self.methods[q] = {}", 1),
+    ("def _fold(registry):\n    pass\ndef later(registry):\n    registry.methods.clear()", 1),
+    ("class Heap:\n    def _fold(self):\n        self.registry.methods |= tables", 1),
+    ("def _with_methods(registry, desc):\n    desc.methods = dict(registry.methods)", 1),
+])
+def test_the_methods_lint_sees_each_other_writer(source, count):
+    assert len(merge_table_violations(source, "methods")) == count
+
+
+@pytest.mark.parametrize("source", [
+    "class Registry:\n    def __init__(self):\n        self.methods: dict = {}",
+    "def _fold(registry, ast, heap):\n    registry.methods.update(tables)",
+    "table = registry.methods.get(name, {})",
+    "class TypeSpec:\n    methods: tuple = ()",
+    "methods = {}\nmethods[q] = table\nmethods.update(more)",
+    "def _with_methods(table, methods):\n    for m in methods:\n        sets[m.name] = m",
+])
+def test_the_methods_lint_passes_reads_and_the_merge(source):
+    assert merge_table_violations(source, "methods") == []
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_only_the_merge_writes_registry_methods(path):
+    assert merge_table_violations(path.read_text(encoding="utf-8"), "methods", path.name) == []
+
+
+def test_the_merge_writes_registry_methods():
+    found = {
+        (scope, change)
+        for path in ALL_SOURCES
+        for scope, change, _ in attribute_changes(
+            ast.parse(path.read_text(encoding="utf-8")), "methods", LAYOUTS_MUTATORS)
     }
     assert found == {LAYOUTS_CREATED, (LAYOUTS_WRITER, "update")}
 

@@ -71,8 +71,7 @@ def test_overloads_accumulate_across_manifests(registry, heap):
     }]})
     merge(registry, parse_manifest(first), heap)
     merge(registry, parse_manifest(second), heap)
-    desc = registry.lookup("TH1")
-    assert len(desc.methods["Fill"]) == 2
+    assert len(registry.methods["TH1"]["Fill"]) == 2
     assert registry.version == 2
 
 
@@ -617,23 +616,21 @@ def test_merge_completeness(text: str):
                 assert isinstance(found, NamespaceNode)
 
 
-def test_method_less_types_share_their_registrys_empty_method_map():
+def test_a_method_less_type_has_no_method_table():
     text = json.dumps({"types": [
         {"name": "A"}, {"name": "B", "bases": ["A"]},
         {"name": "C", "methods": [{"name": "Get", "returns": "i64"}]}]})
     ours, theirs = Registry(), Registry()
     for registry in (ours, theirs):
         merge(registry, parse_manifest(text))
-    shared = ours.no_methods
-    assert ours.find_type("A").methods is shared and ours.find_type("B").methods is shared
-    assert ours.find_type("C").methods is not shared
-    assert theirs.find_type("A").methods is theirs.no_methods and theirs.no_methods is not shared
+    assert list(ours.methods) == list(theirs.methods) == ["C"]
+    assert ours.method_set("A", "Get") is None and ours.method_set("B", "Get") is None
+    assert ours.method_set("C", "Get") is theirs.method_set("C", "Get") is not None
     with pytest.raises(TypeError):
-        shared["Get"] = OverloadSet("Get")  # type: ignore[index]
+        ours.methods["C"]["Other"] = OverloadSet("Other")  # type: ignore[index]
 
     eval_macro(ours, Heap(ours), json.dumps({"types": [{"name": "A", "methods": [
         {"name": "Extra", "returns": "i64", "body": [{"op": "ret", "value": {"op": "const", "value": 1}}]}]}]}))
-    assert type(ours.find_type("A").methods) is dict
     assert ours.method_set("A", "Extra") is ours.method_set("B", "Extra") is not None
-    assert ours.find_type("B").methods is shared and len(shared) == 0
-    assert theirs.method_set("A", "Extra") is None and len(theirs.no_methods) == 0
+    assert list(ours.methods) == ["C", "A"] and "B" not in ours.methods
+    assert theirs.method_set("A", "Extra") is None and list(theirs.methods) == ["C"]
