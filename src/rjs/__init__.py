@@ -50,7 +50,7 @@ from .registry import (
     parse_manifest,
     serialize_manifest,
 )
-from .repl import ReplSession, render_tree
+from .repl import ReplSession, Session, render_tree
 from .script import Environment, Interpreter, parse, pretty, render_value, tokenize
 
 __version__ = "0.1.0"
@@ -79,6 +79,7 @@ __all__ = [
     "Registry",
     "ReplSession",
     "RootObject",
+    "Session",
     "TypeRef",
     "ValueKind",
     "VOID",

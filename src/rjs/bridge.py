@@ -104,7 +104,7 @@ def weak_method(method: Callable[..., Any]) -> Callable[..., Any]:
     """`method` as a callable that does not keep its object alive.
 
     Hooks that point back at their owner (the dispatcher's converter and
-    error sink, the interpreter's builtins) are held this way, so that a
+    error sink, every builtin a script can read) are held this way, so that a
     discarded bridge or interpreter is freed when its last reference goes
     instead of waiting for a full garbage collection.
     """
@@ -453,9 +453,9 @@ class Bridge:
             case NsRef(path):
                 # the entry-point API cannot be shadowed by registry names
                 if path == "" and name == "loadlibrary":
-                    return BoundBuiltin("loadlibrary", self._script_loadlibrary)
+                    return BoundBuiltin("loadlibrary", weak_method(self._script_loadlibrary))
                 if path == "" and name == "evalmacro":
-                    return BoundBuiltin("evalmacro", self._script_evalmacro)
+                    return BoundBuiltin("evalmacro", weak_method(self._script_evalmacro))
                 match self._member(path, name):
                     case NamespaceNode():
                         return NsRef(join_path(path, name))

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from typing import TextIO
 
 from .bridge import Bridge
-from .errors import RjsError
-from .repl import ReplSession, render_tree
-from .script import Environment, Interpreter, parse
+from .errors import RjsError, render_fault
+from .repl import ReplSession, Session, render_tree
+from .script import parse
 
 DEFAULT_DRAIN_TIMEOUT_MS = 30_000
 
@@ -28,25 +29,15 @@ def _load_plugins(bridge: Bridge, plugins: list[str], diag: TextIO) -> bool:
         try:
             bridge.loadlibrary(path)
         except RjsError as exc:
-            diag.write(f"plugin {path}: {type(exc).__name__}: {exc}\n")
+            diag.write(f"plugin {path}: {render_fault(exc)}\n")
             return False
     return True
 
 
-def cmd_run(
-    file: str,
-    plugins: list[str],
-    drain_timeout_ms: int = DEFAULT_DRAIN_TIMEOUT_MS,
-    out: TextIO | None = None,
-    diag: TextIO | None = None,
-) -> int:
-    out = out if out is not None else sys.stdout
-    diag = diag if diag is not None else sys.stderr
-    bridge = Bridge(diag=diag)
-    interp = Interpreter(bridge, out)
-    scope = Environment(interp.globals)  # the program's top-level bindings
-    timed_out = False
-    try:
+def cmd_run(file: str, plugins: list[str], drain_timeout_ms: int = DEFAULT_DRAIN_TIMEOUT_MS,
+            *, out: TextIO, diag: TextIO) -> int:
+    with closing(Session(Bridge(diag=diag), out)) as session:
+        bridge = session.bridge
         if not _load_plugins(bridge, plugins, diag):
             return 1
         try:
@@ -56,42 +47,21 @@ def cmd_run(
             diag.write(f"cannot read script {file!r}: {exc}\n")
             return 1
         try:
-            program = parse(source)
-            interp.run(program, scope)
+            session.interp.run(parse(source), session.env)
         except RjsError as exc:
-            diag.write(f"{type(exc).__name__}: {exc}\n")
+            diag.write(f"{render_fault(exc)}\n")
             return 1
         if not bridge.dispatcher.drain(drain_timeout_ms):
-            timed_out = True
-            diag.write(
-                f"drain timed out after {drain_timeout_ms} ms with "
-                f"{bridge.dispatcher.pending_count()} call(s) pending\n"
-            )
+            diag.write(f"drain timed out after {drain_timeout_ms} ms with "
+                       f"{bridge.dispatcher.pending_count()} call(s) pending\n")
+            session.close(wait=False)  # a body still running must not hold the exit past the deadline
             return 2
-        if bridge.async_faults:
-            return 1
-        return 0
-    finally:
-        if timed_out:  # a body still running must not hold the exit past the deadline
-            bridge.dispatcher.shutdown(wait=False)
-        else:
-            bridge.shutdown()
-        scope.bindings.clear()  # breaks top-level closure cycles; no callback can read it now
+        return 1 if bridge.async_faults else 0
 
 
-def cmd_repl(
-    plugins: list[str],
-    stdin: TextIO | None = None,
-    out: TextIO | None = None,
-    diag: TextIO | None = None,
-) -> int:
-    stdin = stdin if stdin is not None else sys.stdin
-    out = out if out is not None else sys.stdout
-    diag = diag if diag is not None else sys.stderr
-    bridge = Bridge(diag=diag)
-    session = ReplSession(bridge, out)
-    try:
-        if not _load_plugins(bridge, plugins, diag):
+def cmd_repl(plugins: list[str], *, stdin: TextIO, out: TextIO, diag: TextIO) -> int:
+    with closing(ReplSession(Bridge(diag=diag), out)) as session:
+        if not _load_plugins(session.bridge, plugins, diag):
             return 1
         while session.active:
             out.write("rjs> ")
@@ -102,22 +72,14 @@ def cmd_repl(
                 break
             session.step(line)
         return 0
-    finally:
-        bridge.shutdown()
-        session.env.bindings.clear()  # breaks top-level closure cycles, as in cmd_run
 
 
-def cmd_inspect(plugins: list[str], out: TextIO | None = None, diag: TextIO | None = None) -> int:
-    out = out if out is not None else sys.stdout
-    diag = diag if diag is not None else sys.stderr
-    bridge = Bridge(diag=diag)
-    try:
-        if not _load_plugins(bridge, plugins, diag):
+def cmd_inspect(plugins: list[str], *, out: TextIO, diag: TextIO) -> int:
+    with closing(Session(Bridge(diag=diag), out)) as session:
+        if not _load_plugins(session.bridge, plugins, diag):
             return 1
-        out.write(render_tree(bridge.registry))
+        out.write(render_tree(session.bridge.registry))
         return 0
-    finally:
-        bridge.shutdown()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,11 +113,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
-        return cmd_run(args.file, args.plugin, args.drain_timeout)
+        return cmd_run(args.file, args.plugin, args.drain_timeout, out=sys.stdout, diag=sys.stderr)
     if args.command == "repl":
-        return cmd_repl(args.plugin)
+        return cmd_repl(args.plugin, stdin=sys.stdin, out=sys.stdout, diag=sys.stderr)
     if args.command == "inspect":
-        return cmd_inspect(args.plugin)
+        return cmd_inspect(args.plugin, out=sys.stdout, diag=sys.stderr)
     return 2  # pragma: no cover - argparse enforces the choices
 
 

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
 
-from .errors import DomainError, EngineStopped, ScriptRecursionError
+from .errors import DomainError, EngineStopped, ScriptRecursionError, render_fault
 from .heap import Heap
 from .model import HostValue, MethodSignature, ref
 
@@ -49,7 +49,7 @@ def resolve_worker_count(explicit: int | None = None, diag: TextIO | None = None
 
 def report_fault(diag: TextIO, call_id: int, exc: Exception) -> None:
     """The default error sink: one line per failed call on `diag`."""
-    diag.write(f"async call #{call_id} failed: {type(exc).__name__}: {exc}\n")
+    diag.write(f"async call #{call_id} failed: {render_fault(exc)}\n")
 
 
 @dataclass(slots=True)

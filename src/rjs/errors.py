@@ -11,6 +11,11 @@ class RjsError(Exception):
     """Base class for every error raised by this package."""
 
 
+def render_fault(exc: Exception) -> str:
+    """The one line a front end prints for a fault: `Name: message`."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 # --- manifest / registry ---------------------------------------------------
 
 class ParseError(RjsError):

@@ -1,5 +1,5 @@
-"""Interactive session: line evaluation with automatic completion pumping,
-plus the namespace-tree renderer shared with `rjs inspect`."""
+"""Sessions, the one way every front end opens and ends an interpreter over a
+bridge; the REPL's line stepping; the namespace-tree renderer."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ from typing import TextIO
 
 from .bridge import Bridge, weak_method
 from .dispatcher import report_fault
-from .errors import RjsError
+from .errors import RjsError, render_fault
 from .model import Registry, kind_str, sig_str
-from .script import Environment, Interpreter, SExprStmt, parse, render_value, tokenize
+from .script import CLOSED, Environment, Interpreter, SExprStmt, parse, render_value, tokenize
 
 META_COMMANDS = (".pump", ".tree", ".quit")
 
@@ -71,14 +71,35 @@ def _terminated(line: str) -> str:
     return line + ";" if len(kinds) == 1 or kinds[-2] == ";" else line + "\n;"
 
 
-class ReplSession:
-    """Persistent environment over one bridge; one `step` per input line."""
+class Session:
+    """A bridge, an interpreter over it and its top-level scope, ended together by `close`.
+
+    A closure that outlives `close` in a scope cycle keeps no bridge alive;
+    calling it into the bridge raises EngineStopped."""
 
     def __init__(self, bridge: Bridge, out: TextIO):
         self.bridge = bridge
-        self.out = out
         self.interp = Interpreter(bridge, out)
         self.env = Environment(self.interp.globals)
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the engine down (see `Dispatcher.shutdown` for `wait`), clear the
+        top-level bindings and cut the interpreter's bridge; a second call does nothing."""
+        if self.interp.bridge is CLOSED:
+            return
+        if wait:
+            self.bridge.shutdown()
+        else:
+            self.bridge.dispatcher.shutdown(wait=False)
+        self.env.bindings.clear()
+        self.interp.bridge = CLOSED
+
+
+class ReplSession(Session):
+    """A session fed one line per `step`."""
+
+    def __init__(self, bridge: Bridge, out: TextIO):
+        super().__init__(bridge, out)
         self.active = True
         # async faults print into the session, not the process diagnostic stream
         bridge.error_sink = weak_method(self._async_error)
@@ -100,7 +121,7 @@ class ReplSession:
         finally:
             self.interp.out = real_out
         text = buffer.getvalue()
-        self.out.write(text)
+        real_out.write(text)
         return text
 
     def _step_into(self, line: str, buffer: io.StringIO) -> None:
@@ -125,5 +146,5 @@ class ReplSession:
             if bare and result is not None:
                 buffer.write(render_value(result) + "\n")
         except RjsError as exc:
-            buffer.write(f"error: {type(exc).__name__}: {exc}\n")
+            buffer.write(f"error: {render_fault(exc)}\n")
         self.bridge.dispatcher.process_events()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple, TextIO
 
 from .bridge import Bridge, BoundBuiltin, FnRef, Invocation, MethodRef, NsRef, Proxy, TypeRef, weak_method
-from .errors import LexError, ParseError, ScriptNameError, ScriptRecursionError, ScriptTypeError
+from .errors import EngineStopped, LexError, ParseError, ScriptNameError, ScriptRecursionError, ScriptTypeError
 from .model import format_number
 
 KEYWORDS = frozenset(("let", "fn", "true", "false", "null"))
@@ -478,8 +478,18 @@ class Closure:
         return f"<fn({', '.join(self.params)})>"
 
 
+class _Closed:
+    """The bridge of an interpreter whose session is closed: every use raises EngineStopped."""
+
+    def __getattr__(self, name: str) -> Any:
+        raise EngineStopped("session has been closed")
+
+
+CLOSED = _Closed()
+
+
 class Interpreter:
-    """Tree-walking evaluator bound to one bridge; interpreter-domain only."""
+    """Tree-walking evaluator bound to one bridge, or to `CLOSED`; interpreter-domain only."""
 
     def __init__(self, bridge: Bridge, out: TextIO):
         self.bridge = bridge

@@ -246,6 +246,38 @@ def test_a_finished_run_is_freed_without_a_collection(tmp_path, monkeypatch, sou
         gc.enable()
 
 
+INNER_CLOSURES = [
+    "let f = fn() { let g = fn() { g; }; g(); }; f();",
+    "let mk = fn() { let g = fn() { 1; }; g; }; let h = mk(); h();",
+    "let f = fn() { let l = root.loadlibrary; let g = fn() { g; }; g(); }; f();",
+]
+
+
+def recording_bridges(monkeypatch) -> list[weakref.ref]:
+    """Weak references to every bridge `rjs.cli` builds from now on."""
+    refs: list[weakref.ref] = []
+
+    def recording_bridge(**kwargs):
+        bridge = Bridge(**kwargs)
+        refs.append(weakref.ref(bridge))
+        return bridge
+
+    monkeypatch.setattr(rjs.cli, "Bridge", recording_bridge)
+    return refs
+
+
+@pytest.mark.parametrize("source", INNER_CLOSURES)
+def test_a_run_whose_call_scope_holds_a_closure_is_freed_without_a_collection(tmp_path, monkeypatch, source):
+    script = write(tmp_path, "s.rjs", source)
+    refs = recording_bridges(monkeypatch)
+    gc.disable()
+    try:
+        assert cmd_run(script, [], out=io.StringIO(), diag=io.StringIO()) == 0
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
+
+
 def test_an_async_callback_reads_the_top_level_scope_during_the_drain(tmp_path):
     plugin = write(tmp_path, "p.plugin", NAP_PLUGIN)
     script = write(tmp_path, "s.rjs", 'let x = 1; let show = fn(v) { print(x, v); }; root.Nap(show); x = 2;')
@@ -394,6 +426,19 @@ def test_a_finished_repl_session_is_freed_without_a_collection(monkeypatch):
     gc.disable()
     try:
         assert cmd_repl([], stdin=stdin, out=io.StringIO(), diag=io.StringIO()) == 0
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_a_repl_session_whose_call_scope_holds_a_closure_is_freed_without_a_collection(monkeypatch):
+    refs = recording_bridges(monkeypatch)
+    stdin = io.StringIO(INNER_CLOSURES[0] + "\n")
+    gc.disable()
+    try:
+        out = io.StringIO()
+        assert cmd_repl([], stdin=stdin, out=out, diag=io.StringIO()) == 0
+        assert "error" not in out.getvalue()
         assert len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()

@@ -13,8 +13,10 @@ the one writer of names, is called only by the merge (`registry._fold`) and
 by `Registry.declare_global`. Only `model.walk_layout` follows a type's
 `.bases`; besides it the attribute is read by `TypeSpec.is_extension`, by the
 descriptor build in `registry._fold` (as its `bases=` argument), by the
-manifest writer and by `repl.render_tree`. And every rjs dataclass passes
-`slots=True`, so its instances carry no `__dict__`, and none is frozen.
+manifest writer and by `repl.render_tree`. In the front ends (`cli.py` and
+`repl.py`) only `Session.close` shuts an engine down or clears a scope's
+bindings. And every rjs dataclass passes `slots=True`, so its instances carry
+no `__dict__`, and none is frozen.
 """
 
 from __future__ import annotations
@@ -434,6 +436,71 @@ def test_each_reader_of_bases_is_in_place():
         for scope, _ in bases_reads(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found == BASES_READERS
+
+
+# -- one path ends a session ----------------------------------------------------------------
+
+SESSION_CLOSE = "Session.close"
+FRONT_ENDS = [REPO_ROOT / "src" / "rjs" / name for name in ("cli.py", "repl.py")]
+
+
+def session_ends(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(enclosing class.function, what, line) of each reference to a `.shutdown`
+    and of each change to a `.bindings`: a store, or a reference to its `clear`."""
+    shutdowns = [(scope, "shutdown", node.lineno) for scope, node in _scoped(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "shutdown"]
+    cleared = [(scope, f"bindings {change}", line)
+               for scope, change, line in attribute_changes(tree, "bindings", {"clear"})]
+    return shutdowns + cleared
+
+
+def session_end_violations(source: str, filename: str = "<source>") -> list[str]:
+    """`file:line`, scope and what of each way of ending a session outside `Session.close`."""
+    return [
+        f"{filename}:{line} {scope or '<module>'} {what}"
+        for scope, what, line in session_ends(ast.parse(source, filename))
+        if scope != SESSION_CLOSE
+    ]
+
+
+@pytest.mark.parametrize("source, count", [
+    ("def cmd_run(file):\n    try:\n        pass\n    finally:\n        bridge.shutdown()", 1),
+    ("def cmd_run(file):\n    session.bridge.dispatcher.shutdown(wait=False)", 1),
+    ("def cmd_repl(plugins):\n    session.env.bindings.clear()", 1),
+    ("def cmd_repl(plugins):\n    session.env.bindings = {}\n    del scope.bindings['f']", 2),
+    ("stop = bridge.shutdown\nstop()", 1),
+    ("class ReplSession(Session):\n    def close(self):\n        self.bridge.shutdown()", 1),
+    ("class Session:\n    def close(self):\n        def later():\n            self.env.bindings.clear()", 1),
+    ("class Session:\n    def __exit__(self, *exc):\n        self.bridge.shutdown()", 1),
+])
+def test_the_session_end_lint_sees_each_other_ending(source, count):
+    assert len(session_end_violations(source)) == count
+
+
+@pytest.mark.parametrize("source", [
+    "class Session:\n    def close(self, wait=True):\n        self.bridge.shutdown()\n"
+    "        self.bridge.dispatcher.shutdown(wait=False)\n        self.env.bindings.clear()",
+    "def cmd_run(file):\n    with closing(Session(Bridge(), out)) as session:\n        session.close(wait=False)",
+    "value = session.env.bindings.get('f')",
+    "names = sorted(env.bindings)\nbindings.clear()",
+    "bridge.shutdown_requested = True",
+])
+def test_the_session_end_lint_passes_close_and_other_names(source):
+    assert session_end_violations(source) == []
+
+
+@pytest.mark.parametrize("path", FRONT_ENDS, ids=lambda p: p.name)
+def test_only_session_close_ends_a_session(path):
+    assert session_end_violations(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_session_close_shuts_down_and_clears_the_scope():
+    found = {
+        (scope, what)
+        for path in FRONT_ENDS
+        for scope, what, _ in session_ends(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {(SESSION_CLOSE, "shutdown"), (SESSION_CLOSE, "bindings clear")}
 
 
 # -- every rjs dataclass is slotted and none is frozen ------------------------------------

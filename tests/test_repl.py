@@ -8,8 +8,11 @@ import time
 
 import pytest
 
+from rjs import Bridge
+from rjs.errors import EngineStopped
 from rjs.registry import merge, parse_manifest
-from rjs.repl import ReplSession, render_tree
+from rjs.repl import ReplSession, Session, render_tree
+from rjs.script import CLOSED, parse
 
 
 @pytest.fixture
@@ -180,3 +183,43 @@ def test_output_also_written_to_stream(session):
     repl, out = session
     repl.step("print(7);")
     assert out.getvalue() == "7\n"
+
+
+# -- closing a session --------------------------------------------------------------------
+
+ECHO = json.dumps({"functions": [{"name": "Echo", "params": ["i64"], "returns": "i64",
+                                  "body": [{"op": "ret", "value": {"op": "param", "index": 0}}]}]})
+
+
+def test_a_closure_called_after_close_raises_engine_stopped(bridge):
+    merge(bridge.registry, parse_manifest(ECHO), bridge.heap)
+    bridge.refresh()
+    session = Session(bridge, io.StringIO())
+    session.interp.run(parse("let f = fn() { root.Echo(1); }; let p = fn() { pump(); };"), session.env)
+    f, p = session.env.get("f"), session.env.get("p")
+    assert f() == 1.0
+    session.close()
+    session.close()  # a second close does nothing
+    assert session.env.bindings == {} and session.interp.bridge is CLOSED
+    for closure in (f, p):
+        with pytest.raises(EngineStopped, match="session has been closed"):
+            closure()
+
+
+def test_a_callback_delivered_after_close_reaches_the_error_sink_once_as_engine_stopped():
+    bridge = Bridge(workers=1, diag=io.StringIO())
+    merge(bridge.registry, parse_manifest(ECHO), bridge.heap)
+    bridge.refresh()
+    sunk: list[tuple[int, Exception]] = []
+    bridge.error_sink = lambda call_id, exc: sunk.append((call_id, exc))
+    session = Session(bridge, io.StringIO())
+    session.interp.run(parse("root.Echo(5, fn(v) { root.Echo(v); });"), session.env)
+    session.close(wait=False)
+    deadline = time.monotonic() + 5
+    while bridge.registry.engines and time.monotonic() < deadline:  # the worker posts, then exits
+        time.sleep(0.01)
+    assert not bridge.registry.engines
+    assert bridge.dispatcher.process_events() == 1
+    assert bridge.dispatcher.process_events() == 0
+    assert [(call_id, type(exc)) for call_id, exc in sunk] == [(1, EngineStopped)]
+    assert bridge.async_faults == sunk
